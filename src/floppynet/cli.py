@@ -49,7 +49,7 @@ def cmd_decompose(args) -> None:
     R = rigidity.build(net)
     if args.ensemble > 1:
         ens = nullspace.ensemble(R, m=args.ensemble, base_seed=args.seed,
-                                 jobs=args.jobs, zero_tol=args.zero_tol)
+                                 zero_tol=args.zero_tol)
         data = {
             "runs": [nullspace.basis_to_dict(b) for b in ens.bases],
             "participation": [b.participation for b in ens.bases],
@@ -143,8 +143,7 @@ def cmd_rigidify(args) -> None:
 
 def cmd_predict(args) -> None:
     net = _load_network(args)
-    gmap = loadpredict.globality(net, m=args.m, base_seed=args.seed,
-                                 jobs=args.jobs)
+    gmap = loadpredict.globality(net, m=args.m, base_seed=args.seed)
     predicted = loadpredict.predict_loaded_edges(net, gmap, t=args.t,
                                                  mark_all_ties=args.all_ties)
     data = {
@@ -210,8 +209,7 @@ def cmd_render(args) -> None:
 def cmd_compare(args) -> None:
     if args.experiment == "participation":
         net = networks.lattice_fixture_4x4()
-        data = experiments.participation_comparison(net, args.n, args.seed,
-                                                    jobs=args.jobs)
+        data = experiments.participation_comparison(net, args.n, args.seed)
     elif args.experiment == "involvement":
         net = networks.hinged_fixture()
         data = experiments.involvement_comparison(net, args.n, args.seed)
@@ -233,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="floppynet",
         description="Floppy-mode analysis and control of 2D networks")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="procedurally generate a network")

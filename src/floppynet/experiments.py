@@ -21,7 +21,7 @@ from .springsim import SimConfig
 # -- participation and involvement (demo lattice) ---------------------------
 
 def participation_comparison(network: Network, n_shuffles: int = 100,
-                             base_seed: int = 0, jobs: int = 1) -> dict:
+                             base_seed: int = 0) -> dict:
     """Participation rates of shuffled sparse bases against the SVD baseline.
 
     The one-sided paired test asks whether the sparse participation rate is
@@ -29,7 +29,7 @@ def participation_comparison(network: Network, n_shuffles: int = 100,
     0 or 1 by the sign of the mean.
     """
     R = rigidity.build(network)
-    ens = nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed, jobs=jobs)
+    ens = nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed)
     p_snd = ens.participation_rates()
     p_svd = nullspace.svd_basis(R).participation
     diffs = p_snd - p_svd

@@ -82,20 +82,37 @@ def _rotation_about(network: Network, center: int, section) -> np.ndarray:
     return v
 
 
-def _distal_section(g: nx.Graph, hinge: int, fixed: np.ndarray):
+def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
     """Pick the side of ``hinge`` that should rotate.
 
-    Prefer sides containing no fixed node; among those (or among all sides if
-    none qualifies) take the smallest, breaking ties by lowest node id.
+    The sides are the connected components of the bond graph (neighbour lists
+    ``adjacency``) once the hinge is removed.  Prefer sides containing no
+    fixed node; among those (or among all sides if none qualifies) take the
+    smallest, breaking ties by lowest node id.
     """
-    sides = [sorted(c) for c in nx.connected_components(g.subgraph(
-        [u for u in g.nodes if u != hinge]))]
-    sides = [s for s in sides if s]
-    if not sides:
-        return None
-    unfixed = [s for s in sides if not any(fixed[u] for u in s)]
-    pool = unfixed if unfixed else sides
-    return min(pool, key=lambda s: (len(s), s[0]))
+    seen = [False] * len(adjacency)
+    seen[hinge] = True
+    best = best_unfixed = None
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        side, stack = [start], [start]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    side.append(w)
+                    stack.append(w)
+        # sides are found in order of their lowest node, so the first
+        # smallest one wins ties
+        if best is None or len(side) < len(best):
+            best = side
+        if not any(fixed[u] for u in side) and (
+                best_unfixed is None or len(side) < len(best_unfixed)):
+            best_unfixed = side
+    pick = best_unfixed or best
+    return sorted(pick) if pick else None
 
 
 def _component_network(network: Network, comp: Component,
@@ -144,10 +161,12 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
     # one rotation candidate per hinge; fixed nodes act as hinges to ground
     hinge_nodes = sorted(decomp.articulation_nodes
                          | set(np.flatnonzero(network.fixed)))
+    adjacency = [list(g[u]) for u in range(network.n_nodes)]
+    fixed = network.fixed.tolist()
     for hinge in hinge_nodes:
         if g.degree(hinge) == 0:
             continue
-        section = _distal_section(g, hinge, network.fixed)
+        section = _distal_section(adjacency, hinge, fixed)
         if not section:
             continue
         v = _rotation_about(network, hinge, section)

@@ -3,8 +3,11 @@
 Two decompositions of the rigidity null space: an iterative projection
 scheme seeded with the identity that eliminates one constraint row at a time
 while keeping the working rows sparse (``snd_basis``), and a plain SVD
-baseline (``svd_basis``).  Mode size, participation rate, and per-node
-involvement quantify how local a basis is.
+baseline (``svd_basis``).  Elimination retires each pivot row in place and
+projects only on a constraint's nonzero columns, so a constraint costs O(n)
+per working row it scores or updates rather than O(n^2) for the whole
+working matrix.  Mode size, participation rate, and per-node involvement
+quantify how local a basis is.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ _WORK_TOL = 1e-12
 # Candidate pivots must be within this factor of the largest projection
 # (threshold pivoting; guards against dividing by a near-zero pivot).
 _PIVOT_REL = 1e-2
+
+# Entries within this relative distance of the largest magnitude tie for the
+# sign-setting lead entry; the first of them wins, so round-off cannot flip it.
+_LEAD_REL = 1e-12
 
 
 @dataclass
@@ -83,7 +90,10 @@ class DecompositionEnsemble:
 
 
 def _finalize_vector(v: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Normalize, hard-zero sub-threshold entries, and canonicalize the sign."""
+    """Normalize, hard-zero sub-threshold entries, and canonicalize the sign.
+
+    The sign makes the first entry of (nearly) largest magnitude positive.
+    """
     v = np.asarray(v, float).copy()
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -94,7 +104,8 @@ def _finalize_vector(v: np.ndarray, zero_tol: float) -> np.ndarray:
     if norm == 0.0:
         return v
     v /= norm
-    lead = np.argmax(np.abs(v))
+    mag = np.abs(v)
+    lead = np.flatnonzero(mag >= mag.max() * (1.0 - _LEAD_REL))[0]
     if v[lead] < 0:
         v = -v
     return v
@@ -122,8 +133,13 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
 
     The working matrix starts as the identity; each constraint row is absorbed
     by picking the sparsest adequate pivot row, updating the rows it overlaps
-    with, and deleting it.  Whatever rows survive all constraints span the
-    null space.  ``shuffle_seed`` permutes the constraint rows first.
+    with, and retiring the pivot: it is zeroed in place, so it projects to 0
+    on every later constraint.  The rows still live after all constraints
+    span the null space; they are read out once, in their original order.
+    The projection reads only the constraint's nonzero columns (at most
+    four), so absorbing a constraint costs O(n) per row it scores or
+    updates, never O(n^2).  ``shuffle_seed`` permutes the constraint rows
+    first.
     """
     if zero_tol <= 0 or drop_tol <= 0:
         raise ValueError("tolerances must be positive")
@@ -132,12 +148,20 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
     A = R.entries
     m, n = A.shape
     H = np.eye(n)
+    live = np.ones(n, dtype=bool)
+    n_live = n
     for i in range(m):
-        if H.shape[0] == 0:
+        if n_live == 0:
             break
-        d = H @ A[i]
+        # retired rows are zero, so they project to 0 and are never picked
+        cols = np.flatnonzero(A[i])
+        d = H[:, cols] @ A[i, cols]
         absd = np.abs(d)
         dmax = absd.max()
+        if not np.isfinite(dmax):
+            raise NumericalBreakdown(
+                f"elimination failed at constraint {i} of {m}: "
+                f"{n_live} live rows left, projection not finite")
         if dmax <= drop_tol:
             continue    # constraint already satisfied by every row: redundant
         cand = np.flatnonzero(absd > max(drop_tol, _PIVOT_REL * dmax))
@@ -154,12 +178,16 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
             block = H[upd] - np.outer(d[upd] / dp, pivot)
             norms = np.linalg.norm(block, axis=1)
             if not np.all(np.isfinite(block)) or np.any(norms == 0.0):
-                raise NumericalBreakdown(f"elimination failed at constraint {i}")
+                raise NumericalBreakdown(
+                    f"elimination failed at constraint {i} of {m}: "
+                    f"{n_live} live rows left, pivot magnitude {abs(dp):.3e}")
             block /= norms[:, None]
             block[np.abs(block) < _WORK_TOL] = 0.0
             H[upd] = block
-        H = np.delete(H, p, axis=0)
-    modes = sort_modes([make_mode(row, zero_tol) for row in H])
+        H[p] = 0.0
+        live[p] = False
+        n_live -= 1
+    modes = sort_modes([make_mode(row, zero_tol) for row in H[live]])
     return ModeBasis(modes, "SND", shuffle_seed)
 
 
@@ -196,12 +224,9 @@ def involvement_Q(basis: ModeBasis, n_nodes: int | None = None) -> dict[int, int
 
 
 def ensemble(R: RigidityMatrix, m: int = 100, seeds: Sequence[int] | None = None,
-             base_seed: int = 0, jobs: int = 1,
+             base_seed: int = 0,
              zero_tol: float = ZERO_TOL) -> DecompositionEnsemble:
-    """``m`` independent decompositions with shuffled constraint rows.
-
-    Results are ordered by run index regardless of how they are scheduled.
-    """
+    """``m`` independent decompositions with shuffled constraint rows, in run order."""
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
     if seeds is None:
@@ -209,20 +234,12 @@ def ensemble(R: RigidityMatrix, m: int = 100, seeds: Sequence[int] | None = None
     if len(seeds) != m:
         raise ValueError("need exactly one seed per run")
 
-    def run(idx_seed):
-        idx, seed = idx_seed
+    bases = []
+    for idx, seed in enumerate(seeds):
         try:
-            return snd_basis(R, zero_tol=zero_tol, shuffle_seed=int(seed))
+            bases.append(snd_basis(R, zero_tol=zero_tol, shuffle_seed=int(seed)))
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"run {idx}: {exc}") from exc
-
-    items = list(enumerate(seeds))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bases = list(pool.map(run, items))
-    else:
-        bases = [run(item) for item in items]
     return DecompositionEnsemble(bases, m)
 
 

@@ -8,8 +8,6 @@ marking.  Output is deterministic text, suitable for golden-file tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .networks import Network
@@ -23,13 +21,6 @@ FIXED_COLOUR = "#1d3651"
 ARROW_COLOUR = "#2e8b57"
 LOADED_COLOUR = "#f5c542"
 UNLOADED_COLOUR = "#7a1f1f"
-
-
-@dataclass
-class RenderSpec:
-    overlay: str = "none"      # none | mode | node_scalar | edge_scalar | prediction
-    mode_index: int = 0
-    colour_bounds: tuple[float, float] | None = None
 
 
 def _fmt(x: float) -> str:

@@ -8,7 +8,7 @@ to one of its nearest unused lattice neighbours.  ``tune`` applies the rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

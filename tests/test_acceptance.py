@@ -114,6 +114,7 @@ def test_criterion_4_control_hierarchy():
            f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_energy_advantage():
     t0 = time.time()
     out = experiments.reaching_energy_comparison(n_pairs=250, base_seed=0)
@@ -134,6 +135,7 @@ def test_criterion_6_single_link_selection():
            f"{out['wins']}/{out['n_instances']} instances won, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_sequential_tuning():
     t0 = time.time()
     out = experiments.tuning_comparison(n_seeds=10, stop_at=92,

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -116,3 +117,29 @@ class TestMultiscaleBasis:
         basis = multiscale.multiscale_basis(net)
         assert len(basis) == rigidity.dof(R)
         assert max((m.max_residual(R) for m in basis.modes), default=0.0) <= 1e-8
+
+
+def _reference_section(network, hinge):
+    """The side search spelled out with networkx components."""
+    g = multiscale._bond_graph(network)
+    sides = [sorted(c) for c in nx.connected_components(
+        g.subgraph([u for u in g.nodes if u != hinge]))]
+    unfixed = [s for s in sides if not any(network.fixed[u] for u in s)]
+    return min(unfixed or sides, key=lambda s: (len(s), s[0]))
+
+
+@pytest.mark.parametrize("size,dilution,seed", [(7, 0.6, 0), (9, 0.7, 3),
+                                                (11, 0.5, 5)])
+def test_distal_section_matches_component_reference(size, dilution, seed):
+    net = networks.generate_triangular(networks.GeneratorSpec(
+        kind="triangular_lattice", dimensions=(size, size),
+        dilution_fraction=dilution, seed=seed, boundary="fixed_rows"))
+    g = multiscale._bond_graph(net)
+    adjacency = [list(g[u]) for u in range(net.n_nodes)]
+    hinges = [h for h in sorted(multiscale.find_hinges(net).articulation_nodes
+                                | set(np.flatnonzero(net.fixed)))
+              if g.degree(h)]
+    assert hinges
+    for h in hinges:
+        assert (multiscale._distal_section(adjacency, h, net.fixed.tolist())
+                == _reference_section(net, h))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floppynet import networks, nullspace, rigidity
+from floppynet.errors import NumericalBreakdown
 
 
 def max_residual(R, basis):
@@ -62,6 +63,65 @@ class TestSndBasis:
         basis = nullspace.snd_basis(R, shuffle_seed=seed)
         assert len(basis) == 4
         assert max_residual(R, basis) <= 1e-8
+
+
+    def test_duplicated_constraint_is_redundant(self, lattice_4x4):
+        # a repeated row is already satisfied by every surviving row, so it
+        # is skipped and retires no row
+        R = rigidity.build(lattice_4x4)
+        k = 3
+        dup = rigidity.RigidityMatrix(
+            np.insert(R.entries, k + 1, R.entries[k], axis=0),
+            R.row_meta[:k + 1] + [R.row_meta[k]] + R.row_meta[k + 1:],
+            R.normalized, np.insert(R.row_order, k + 1, R.row_order[k]),
+            R.n_nodes)
+        before = nullspace.snd_basis(R)
+        after = nullspace.snd_basis(dup)
+        assert len(after) == len(before)
+        assert np.array_equal(after.vectors(), before.vectors())
+
+    def test_breakdown_names_where_elimination_stopped(self, lattice_4x4):
+        R = rigidity.build(lattice_4x4)
+        entries = R.entries.copy()
+        entries[5, np.flatnonzero(entries[5])[0]] = np.nan
+        bad = rigidity.RigidityMatrix(entries, R.row_meta, R.normalized,
+                                      R.row_order, R.n_nodes)
+        # each independent constraint before row 5 retires one row
+        n_live = R.shape[1] - np.linalg.matrix_rank(R.entries[:5])
+        with pytest.raises(NumericalBreakdown,
+                           match=f"constraint 5 of {R.shape[0]}: "
+                                 f"{n_live} live rows left"):
+            nullspace.snd_basis(bad)
+
+
+# the decompose panel of the benchmark: (size, generator seed, participation)
+BENCHMARK_PANEL = [(25, 0, 6414), (15, 1, 666), (15, 2, 455), (15, 3, 328),
+                   (15, 4, 489)]
+
+
+@pytest.mark.parametrize("size,seed,participation", BENCHMARK_PANEL)
+def test_snd_at_benchmarked_sizes(size, seed, participation):
+    net = networks.generate_triangular(networks.GeneratorSpec(
+        kind="triangular_lattice", dimensions=(size, size),
+        dilution_fraction=0.6, seed=seed, boundary="fixed_rows"))
+    R = rigidity.build(net)
+    basis = nullspace.snd_basis(R)
+    assert len(basis) == rigidity.dof(R)
+    assert max_residual(R, basis) <= 1e-8
+    assert nullspace.span_residual(basis, nullspace.svd_basis(R)) <= 1e-7
+    assert basis.participation == participation
+
+
+class TestModeSign:
+    def test_near_tie_keeps_first_entry_positive(self):
+        # the two entries differ by round-off only; the first one leads
+        mode = nullspace.make_mode(np.array([0.6, -0.6 * (1 + 1e-15)]))
+        assert mode.vector[0] > 0
+        assert mode.vector[1] < 0
+
+    def test_clear_maximum_leads(self):
+        mode = nullspace.make_mode(np.array([0.3, -0.9, 0.1]))
+        assert mode.vector[1] > 0
 
 
 class TestSvdBasis:
@@ -174,13 +234,6 @@ class TestEnsemble:
         a = nullspace.ensemble(R, m=5, base_seed=3).participation_rates()
         b = nullspace.ensemble(R, m=5, base_seed=3).participation_rates()
         assert np.array_equal(a, b)
-
-    def test_jobs_give_same_result(self, lattice_4x4):
-        R = rigidity.build(lattice_4x4)
-        serial = nullspace.ensemble(R, m=8, base_seed=1)
-        threaded = nullspace.ensemble(R, m=8, base_seed=1, jobs=4)
-        for a, b in zip(serial.bases, threaded.bases):
-            assert np.array_equal(a.vectors(), b.vectors())
 
     def test_all_bases_span_same_subspace(self, hinged):
         R = rigidity.build(hinged)
