@@ -68,6 +68,7 @@ class ControlTrace:
     success: bool
     final_positions: np.ndarray
     recanonicalized_at: list[int] = field(default_factory=list)
+    mode_sizes: list[int] = field(default_factory=list)  # step-0 canonical modes
 
 
 def effector_distance(positions: np.ndarray, effectors, target) -> float:
@@ -85,21 +86,18 @@ def project_to_manifold(positions: np.ndarray, network: Network,
     if len(a) == 0:
         return x
     free = np.flatnonzero(~network.fixed)
-    col_of = {u: k for k, u in enumerate(free)}
+    rows = np.arange(len(a))
     for _ in range(max_iter):
         d = x[a] - x[b]
         lengths = np.linalg.norm(d, axis=1)
         g = lengths - rest
         if np.abs(g / rest).max() <= tol:
             return x
-        jac = np.zeros((len(a), 2 * len(free)))
         unit = d / lengths[:, None]
-        for row in range(len(a)):
-            if a[row] in col_of:
-                jac[row, 2 * col_of[a[row]]: 2 * col_of[a[row]] + 2] = unit[row]
-            if b[row] in col_of:
-                jac[row, 2 * col_of[b[row]]: 2 * col_of[b[row]] + 2] = -unit[row]
-        dx, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+        jac = np.zeros((len(a), network.n_nodes, 2))   # edge x node x axis
+        jac[rows, a] = unit
+        jac[rows, b] = -unit
+        dx, *_ = np.linalg.lstsq(jac[:, free].reshape(len(a), -1), -g, rcond=None)
         x[free] += dx.reshape(-1, 2)
     raise ProjectionFailed(
         f"constraint violation {np.abs(g / rest).max():.3g} after "
@@ -159,6 +157,7 @@ def run_task(task: ControlTask) -> ControlTrace:
     activation: dict[int, list[int]] = {}
     recanon: list[int] = []
     canonical: ModeBasis | None = None
+    mode_sizes: list[int] = []
     success = dist <= task.tolerance
 
     step = 0
@@ -169,6 +168,7 @@ def run_task(task: ControlTask) -> ControlTrace:
             break
         if canonical is None:
             canonical = basis
+            mode_sizes = [m.size_s for m in basis.modes]
             ids = {i: i for i in range(len(basis))}
         elif len(basis) != len(canonical):
             canonical = basis
@@ -213,4 +213,5 @@ def run_task(task: ControlTask) -> ControlTrace:
         step += 1
 
     total = float(sum(r.energy for r in records))
-    return ControlTrace(records, total, activation, success, x, recanon)
+    return ControlTrace(records, total, activation, success, x, recanon,
+                        mode_sizes)

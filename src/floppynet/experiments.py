@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from . import control, loadpredict, multiscale, networks, nullspace, rigidify, rigidity, springsim
+from . import control, loadpredict, networks, nullspace, rigidify, rigidity, springsim
 from .networks import GeneratorSpec, Network
 from .springsim import SimConfig
 
@@ -88,6 +88,7 @@ def grasping_experiment(n_tasks: int = 100, base_seed: int = 0,
 
     The sparse motion primitives are the multiscale modes (whole arm, lower
     arm, two fingers); pass ``basis_method="SVD"`` for the dense baseline.
+    Modes are ranked by the sizes of each trace's canonical basis.
     """
     rng = np.random.default_rng(base_seed)
     firsts: dict[int, list[int]] = {}
@@ -102,13 +103,7 @@ def grasping_experiment(n_tasks: int = 100, base_seed: int = 0,
         if not trace.success:
             failures += 1
             continue
-        if basis_method == "multiscale":
-            base = multiscale.multiscale_basis(arm, seed=task.seed)
-        elif basis_method == "SND":
-            base = nullspace.snd_basis(rigidity.build(arm), shuffle_seed=task.seed)
-        else:
-            base = nullspace.svd_basis(rigidity.build(arm))
-        by_size = np.argsort([-m.size_s for m in base.modes], kind="stable")
+        by_size = np.argsort([-s for s in trace.mode_sizes], kind="stable")
         label = {int(cid): rank + 1 for rank, cid in enumerate(by_size)}
         for cid, steps in trace.activation_times.items():
             firsts.setdefault(label[cid], []).append(steps[0])

@@ -50,7 +50,7 @@ class PredictionReport:
 
 
 def globality(network: Network, m: int = DEFAULT_ENSEMBLE,
-              seeds: Sequence[int] | None = None, base_seed: int = 0) -> GlobalityMap:
+              base_seed: int = 0) -> GlobalityMap:
     """Ensemble-averaged minimum mode size per node.
 
     For each decomposition the per-node minimum is taken over the modes that
@@ -58,7 +58,7 @@ def globality(network: Network, m: int = DEFAULT_ENSEMBLE,
     Nodes that never move in any run are flagged rigid with f = 0.
     """
     R = rigidity.build(network)
-    ens = nullspace.ensemble(R, m=m, seeds=seeds, base_seed=base_seed)
+    ens = nullspace.ensemble(R, m=m, base_seed=base_seed)
     total = np.zeros(network.n_nodes)
     seen = np.zeros(network.n_nodes, dtype=bool)
     for basis in ens.bases:

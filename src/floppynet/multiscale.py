@@ -135,7 +135,7 @@ def _lift(vector: np.ndarray, nodes: list[int], n_coords: int) -> np.ndarray:
 
 
 def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
-                     max_depth: int = 1, seed: int = 0) -> ModeBasis:
+                     seed: int = 0) -> ModeBasis:
     """Whole-section rotational modes plus component-local modes.
 
     Candidate rotations that are pinned by other paths fail the null-space
@@ -181,15 +181,11 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
         sub, nodes = _component_network(network, comp, decomp.articulation_nodes)
         if sub.fixed.all():
             continue
-        sub_R = rigidity.build(sub)
-        if max_depth > 1:
-            sub_basis = multiscale_basis(sub, zero_tol, max_depth - 1, seed)
-        else:
-            sub_basis = nullspace.snd_basis(sub_R, zero_tol,
-                                            shuffle_seed=seed + ci)
+        sub_basis = nullspace.snd_basis(rigidity.build(sub), zero_tol,
+                                        shuffle_seed=seed + ci)
         for m in sub_basis.modes:
             lifted = make_mode(_lift(m.vector, nodes, network.n_coords),
-                               zero_tol, tag=m.tag or "component-local")
+                               zero_tol, tag="component-local")
             if lifted.max_residual(R) <= RESIDUAL_TOL:
                 candidates.append(lifted)
 

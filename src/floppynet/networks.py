@@ -8,6 +8,7 @@ lattices and jammed bidisperse packings used throughout the experiments;
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,8 +48,10 @@ class Network:
     """Embedded 2D graph with per-node fixed flags and per-edge rest lengths.
 
     Node ids are the row indices of ``positions`` (contiguous from 0).  Edges
-    are stored with ``a < b``; unordered duplicates and self-loops are
-    rejected at construction.
+    are stored with ``a < b``; unordered duplicates, self-loops, non-finite
+    positions and rest lengths that are not positive and finite are rejected
+    at construction.  The edges are validated and turned into read-only
+    arrays once; networks derived by :meth:`with_positions` share both.
     """
 
     positions: np.ndarray
@@ -60,6 +63,7 @@ class Network:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise SchemaError("positions must be an (N, 2) array")
+        _check_finite(self.positions)
         self.fixed = np.asarray(self.fixed, dtype=bool)
         if self.fixed.shape != (self.n_nodes,):
             raise SchemaError("fixed must be a length-N boolean array")
@@ -76,10 +80,16 @@ class Network:
             if (a, b) in seen:
                 raise DuplicateEdgeError(f"edge ({a},{b}) appears twice")
             seen.add((a, b))
-            if rest <= 0:
-                raise SchemaError(f"edge ({a},{b}) has non-positive rest_length")
+            if not 0.0 < rest < math.inf:
+                raise SchemaError(f"edge ({a},{b}) rest_length {rest} is not positive and finite")
             canonical.append(Edge(a, b, rest))
         self.edges = canonical
+        a = np.array([e.a for e in canonical], dtype=int)
+        b = np.array([e.b for e in canonical], dtype=int)
+        rest = np.array([e.rest_length for e in canonical], dtype=float)
+        for arr in (a, b, rest):
+            arr.setflags(write=False)
+        self._edge_arrays = (a, b, rest)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -96,14 +106,8 @@ class Network:
         return len(self.edges)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoint index arrays and rest lengths as numpy arrays."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty.copy(), np.zeros(0)
-        a = np.array([e.a for e in self.edges], dtype=int)
-        b = np.array([e.b for e in self.edges], dtype=int)
-        rest = np.array([e.rest_length for e in self.edges])
-        return a, b, rest
+        """Read-only endpoint index arrays and rest lengths, built at construction."""
+        return self._edge_arrays
 
     def edge_lengths(self) -> np.ndarray:
         a, b, _ = self.edge_arrays()
@@ -112,20 +116,23 @@ class Network:
     def edge_set(self) -> set[tuple[int, int]]:
         return {(e.a, e.b) for e in self.edges}
 
-    def free_nodes(self) -> np.ndarray:
-        return np.flatnonzero(~self.fixed)
-
     def copy(self) -> "Network":
-        return Network(
-            self.positions.copy(),
-            self.fixed.copy(),
-            list(self.edges),
-            dict(self.metadata),
-        )
+        return self.with_positions(self.positions.copy())
 
     def with_positions(self, positions: np.ndarray) -> "Network":
-        return Network(np.asarray(positions, float), self.fixed.copy(),
-                       list(self.edges), dict(self.metadata))
+        """This network at same-shape positions, sharing its edges unchecked.
+
+        ``fixed`` and ``metadata`` are copied.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != self.positions.shape:
+            raise SchemaError(f"positions must have shape {self.positions.shape}")
+        _check_finite(positions)
+        out = copy.copy(self)
+        out.positions = positions
+        out.fixed = self.fixed.copy()
+        out.metadata = dict(self.metadata)
+        return out
 
     def with_edges(self, edges: Iterable[tuple]) -> "Network":
         """A copy holding a different edge list (rest lengths re-defaulted)."""
@@ -137,6 +144,12 @@ class Network:
             return 0.0
         d = self.positions[:, None, :] - self.positions[None, :, :]
         return float(np.sqrt((d ** 2).sum(axis=2)).max())
+
+
+def _check_finite(positions: np.ndarray) -> None:
+    if not np.isfinite(positions).all():
+        bad = np.argmin(np.isfinite(positions).all(axis=1))
+        raise SchemaError(f"node {bad} has a non-finite position")
 
 
 def build_network(positions, edges, fixed=None, metadata=None) -> Network:

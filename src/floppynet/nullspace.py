@@ -128,7 +128,7 @@ def sort_modes(modes: list[Mode]) -> list[Mode]:
 
 
 def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
-              drop_tol: float = DROP_TOL, shuffle_seed: int | None = None) -> ModeBasis:
+              shuffle_seed: int | None = None) -> ModeBasis:
     """Sparse null-space basis by iterative constraint elimination.
 
     The working matrix starts as the identity; each constraint row is absorbed
@@ -141,8 +141,8 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
     updates, never O(n^2).  ``shuffle_seed`` permutes the constraint rows
     first.
     """
-    if zero_tol <= 0 or drop_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if zero_tol <= 0:
+        raise ValueError("zero_tol must be positive")
     if shuffle_seed is not None:
         R = rigidity.shuffle_rows(R, shuffle_seed)
     A = R.entries
@@ -162,17 +162,17 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
             raise NumericalBreakdown(
                 f"elimination failed at constraint {i} of {m}: "
                 f"{n_live} live rows left, projection not finite")
-        if dmax <= drop_tol:
+        if dmax <= DROP_TOL:
             continue    # constraint already satisfied by every row: redundant
-        cand = np.flatnonzero(absd > max(drop_tol, _PIVOT_REL * dmax))
+        cand = np.flatnonzero(absd > max(DROP_TOL, _PIVOT_REL * dmax))
         nnz = (np.abs(H[cand]) > _WORK_TOL).sum(axis=1)
-        touched = int((absd > drop_tol).sum()) - 1
+        touched = int((absd > DROP_TOL).sum()) - 1
         score = nnz * max(touched, 1)
         # score ascending, then |projection| descending, then row index
         p = int(cand[np.lexsort((cand, -absd[cand], score))[0]])
         pivot = H[p].copy()
         dp = d[p]
-        upd = np.flatnonzero(absd > drop_tol)
+        upd = np.flatnonzero(absd > DROP_TOL)
         upd = upd[upd != p]
         if upd.size:
             block = H[upd] - np.outer(d[upd] / dp, pivot)
@@ -199,8 +199,7 @@ def svd_basis(R: RigidityMatrix, tol: float = rigidity.RANK_TOL,
         rows = np.eye(n)
     else:
         _, s, vt = np.linalg.svd(R.entries)
-        rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-        rows = vt[rank:]
+        rows = vt[rigidity.rank_from_singular_values(s, tol):]
     modes = sort_modes([make_mode(row, zero_tol) for row in rows])
     return ModeBasis(modes, "SVD", None)
 

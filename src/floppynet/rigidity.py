@@ -38,7 +38,6 @@ class RigidityMatrix:
     entries: np.ndarray          # (m, 2N)
     row_meta: list[RowMeta]
     normalized: bool
-    row_order: np.ndarray        # permutation relative to build order
     n_nodes: int
 
     @property
@@ -78,7 +77,7 @@ def build(network: Network, normalize: bool = True) -> RigidityMatrix:
     entries = np.array(rows) if rows else np.zeros((0, n))
     if normalize and len(rows):
         entries /= np.linalg.norm(entries, axis=1)[:, None]
-    return RigidityMatrix(entries, meta, normalize, np.arange(len(rows)), network.n_nodes)
+    return RigidityMatrix(entries, meta, normalize, network.n_nodes)
 
 
 def shuffle_rows(R: RigidityMatrix, seed: int) -> RigidityMatrix:
@@ -89,7 +88,6 @@ def shuffle_rows(R: RigidityMatrix, seed: int) -> RigidityMatrix:
         R.entries[perm].copy(),
         [R.row_meta[p] for p in perm],
         R.normalized,
-        R.row_order[perm].copy(),
         R.n_nodes,
     )
 
@@ -100,7 +98,11 @@ def numeric_rank(R: RigidityMatrix, tol: float = RANK_TOL) -> int:
         raise ValueError("tol must be positive")
     if R.shape[0] == 0:
         return 0
-    s = np.linalg.svd(R.entries, compute_uv=False)
+    return rank_from_singular_values(np.linalg.svd(R.entries, compute_uv=False), tol)
+
+
+def rank_from_singular_values(s: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Count of the descending singular values ``s`` above ``tol`` times the largest."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s > tol * s[0]).sum())

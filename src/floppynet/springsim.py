@@ -3,7 +3,9 @@
 Networks relax under overdamped dynamics with per-coordinate uniform noise;
 the stretching energy of the final state gives the shear modulus under the
 top-row shear protocol, and per-edge extensions under radial stretching of a
-circular boundary.
+circular boundary.  One kernel holds the spring force arithmetic: ``forces``
+wraps it, and ``relax`` calls it at every step on the network's edge arrays,
+which are built once when the network is constructed.
 """
 
 from __future__ import annotations
@@ -52,44 +54,47 @@ class SimResult:
     energy_trace: np.ndarray | None = None
 
 
-def stretching_energy(positions: np.ndarray, network: Network,
-                      config: SimConfig) -> float:
-    a, b, rest = network.edge_arrays()
-    if len(a) == 0:
-        return 0.0
-    lengths = np.linalg.norm(positions[a] - positions[b], axis=1)
-    return float(0.5 * config.stiffness / config.l0 * ((lengths - rest) ** 2).sum())
+def _spring_energy(x, a, b, rest, k_over_l0) -> float:
+    d = x[a] - x[b]
+    lengths = np.sqrt((d * d).sum(axis=1))
+    return float(0.5 * k_over_l0 * ((lengths - rest) ** 2).sum())
 
 
-def forces(positions: np.ndarray, network: Network, config: SimConfig) -> np.ndarray:
-    """Negative gradient of the stretching energy, per node."""
-    n = network.n_nodes
-    a, b, rest = network.edge_arrays()
-    out = np.zeros((n, 2))
-    if len(a) == 0:
-        return out
-    d = positions[a] - positions[b]
-    lengths = np.linalg.norm(d, axis=1)
-    coef = -(config.stiffness / config.l0) * (lengths - rest) / lengths
-    pair = coef[:, None] * d
+def _spring_forces(x, a, b, rest, k_over_l0) -> np.ndarray:
+    """The force kernel: per-node negative gradient of the stretching energy."""
+    n = len(x)
+    d = x[a] - x[b]
+    lengths = np.sqrt((d * d).sum(axis=1))
+    pair = (-k_over_l0 * (lengths - rest) / lengths)[:, None] * d
+    out = np.empty((n, 2))
     for axis in (0, 1):
         out[:, axis] = (np.bincount(a, weights=pair[:, axis], minlength=n)
                         - np.bincount(b, weights=pair[:, axis], minlength=n))
     return out
 
 
+def stretching_energy(positions: np.ndarray, network: Network,
+                      config: SimConfig) -> float:
+    return _spring_energy(positions, *network.edge_arrays(), config.stiffness / config.l0)
+
+
+def forces(positions: np.ndarray, network: Network, config: SimConfig) -> np.ndarray:
+    """Negative gradient of the stretching energy, per node."""
+    return _spring_forces(positions, *network.edge_arrays(), config.stiffness / config.l0)
+
+
 def relax(network: Network, config: SimConfig, record_energy: bool = False,
           diameter: float | None = None) -> SimResult:
     """Run the overdamped integration; fixed nodes are held exactly.
 
-    The reported energy is evaluated on the final positions as-is, with no
-    extra noise applied in the measurement.
+    Every step moves the free nodes by ``dt`` times the force kernel, then
+    adds the noise.  The reported energy is evaluated on the final positions
+    as-is, with no extra noise applied in the measurement.
     """
     x = network.positions.copy()
     free = ~network.fixed
     n_free = int(free.sum())
-    a_idx, b_idx, rest = network.edge_arrays()
-    n = network.n_nodes
+    a, b, rest = network.edge_arrays()
     k_over_l0 = config.stiffness / config.l0
     rng = np.random.default_rng(config.seed)
     trace = np.empty(config.steps) if record_energy else None
@@ -97,37 +102,25 @@ def relax(network: Network, config: SimConfig, record_energy: bool = False,
     # overflow during a blow-up is expected; divergence is caught explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            if len(a_idx):
-                d = x[a_idx] - x[b_idx]
-                lengths = np.sqrt((d * d).sum(axis=1))
-                coef = -k_over_l0 * (lengths - rest) / lengths
-                pair = coef[:, None] * d
-                fx = np.bincount(a_idx, weights=pair[:, 0], minlength=n) \
-                    - np.bincount(b_idx, weights=pair[:, 0], minlength=n)
-                fy = np.bincount(a_idx, weights=pair[:, 1], minlength=n) \
-                    - np.bincount(b_idx, weights=pair[:, 1], minlength=n)
-                x[free, 0] += config.dt * fx[free]
-                x[free, 1] += config.dt * fy[free]
+            if len(a):
+                x[free] += config.dt * _spring_forces(x, a, b, rest, k_over_l0)[free]
             if config.noise_amplitude > 0 and n_free:
                 x[free] += rng.uniform(-config.noise_amplitude,
                                        config.noise_amplitude, (n_free, 2))
             if record_energy:
-                trace[step] = stretching_energy(x, network, config)
+                trace[step] = _spring_energy(x, a, b, rest, k_over_l0)
             if step % 500 == 499 and not np.isfinite(x).all():
                 raise IntegrationDiverged(
                     f"positions diverged at dt={config.dt}")
     if not np.isfinite(x).all():
         raise IntegrationDiverged(f"positions diverged at dt={config.dt}")
 
-    energy = stretching_energy(x, network, config)
-    if len(a_idx):
-        extension = np.linalg.norm(x[a_idx] - x[b_idx], axis=1) - rest
-    else:
-        extension = np.zeros(0)
+    energy = _spring_energy(x, a, b, rest, k_over_l0)
+    extension = np.linalg.norm(x[a] - x[b], axis=1) - rest
     if diameter is None:
         diameter = network.diameter()
     scaled = extension / diameter if diameter > 0 else extension.copy()
-    floor = NOISE_FLOOR_FACTOR * len(a_idx) * k_over_l0 * config.noise_amplitude ** 2
+    floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * config.noise_amplitude ** 2
     return SimResult(x, energy, extension, scaled,
                      noise_floor_flagged=bool(energy <= floor),
                      energy_trace=trace)

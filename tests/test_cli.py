@@ -64,6 +64,17 @@ class TestDecompose:
                         "--method", "snd", "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nan_position_is_a_schema_violation(self, tmp_path, capsys):
+        netfile = tmp_path / "nan.json"
+        netfile.write_text(
+            '{"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "fixed": true},'
+            ' {"id": 1, "x": 1.0, "y": NaN}, {"id": 2, "x": 0.0, "y": 1.0}],'
+            ' "edges": [{"a": 0, "b": 1}, {"a": 1, "b": 2}]}')
+        out = tmp_path / "basis.json"
+        assert run(["decompose", "--network", netfile, "--out", out]) == 1
+        assert "schema-violation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_input_not_mutated(self, tmp_path):
         netfile = tmp_path / "net.json"
         networks.save(networks.fixture("molecule_fixture"), netfile)

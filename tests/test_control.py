@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floppynet import control, networks, nullspace, rigidity
+from floppynet import control, multiscale, networks, nullspace, rigidity
 from floppynet.control import ControlTask
 from floppynet.errors import FloppyNetError
 
@@ -21,6 +21,35 @@ class TestProjection:
         x[2] += 0.05
         projected = control.project_to_manifold(x, robot_arm)
         assert np.array_equal(projected[0], robot_arm.positions[0])
+
+
+    def test_matches_the_per_edge_jacobian_loop(self, lattice_4x4, hinged):
+        # reference: the Jacobian written edge by edge over free-node columns
+        def loop_projection(x, net):
+            x = x.copy()
+            a, b, rest = net.edge_arrays()
+            free = list(np.flatnonzero(~net.fixed))
+            for _ in range(control.PROJECTION_MAX_ITER):
+                d = x[a] - x[b]
+                lengths = np.linalg.norm(d, axis=1)
+                if np.abs((lengths - rest) / rest).max() <= control.PROJECTION_TOL:
+                    return x
+                jac = np.zeros((len(a), 2 * len(free)))
+                for row in range(len(a)):
+                    for node, sign in ((a[row], 1.0), (b[row], -1.0)):
+                        if node in free:
+                            k = free.index(node)
+                            jac[row, 2 * k: 2 * k + 2] = sign * d[row] / lengths[row]
+                dx, *_ = np.linalg.lstsq(jac, rest - lengths, rcond=None)
+                x[free] += dx.reshape(-1, 2)
+            raise AssertionError("reference projection did not converge")
+
+        for k, net in enumerate((lattice_4x4, hinged)):
+            x = net.positions + np.random.default_rng(k).normal(
+                0, 0.004, net.positions.shape)
+            x[net.fixed] = net.positions[net.fixed]
+            assert np.array_equal(control.project_to_manifold(x, net),
+                                  loop_projection(x, net))
 
 
 class TestMatchModes:
@@ -129,6 +158,16 @@ class TestRunTask:
                                              step_size=0.05,
                                              basis_method="multiscale", seed=3))
         assert trace.success
+
+    def test_trace_carries_step_zero_mode_sizes(self, robot_arm):
+        trace = control.run_task(ControlTask(robot_arm, [3, 4],
+                                             np.array([1.0, 2.2]),
+                                             tolerance=0.1, max_steps=300,
+                                             step_size=0.05,
+                                             basis_method="multiscale", seed=3))
+        basis = multiscale.multiscale_basis(robot_arm, seed=3)
+        assert trace.recanonicalized_at == []
+        assert trace.mode_sizes == [m.size_s for m in basis.modes]
 
     def test_activation_times_match_records(self, robot_arm):
         target = np.array([1.2, 2.0])

@@ -175,6 +175,63 @@ class TestValidation:
         with pytest.raises(SchemaError):
             networks.build_network([(0, 0), (1, 0)], [(0, 1, -2.0)])
 
+    def test_nan_position(self):
+        # a defaulted rest length would be NaN too
+        with pytest.raises(SchemaError, match="node 1"):
+            networks.build_network([(0, 0), (1, math.nan), (0, 1)],
+                                   [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("rest", [math.nan, math.inf])
+    def test_non_finite_rest_length(self, rest):
+        with pytest.raises(SchemaError, match="rest_length"):
+            networks.build_network([(0, 0), (1, 0)], [(0, 1, rest)])
+
+    def test_nan_in_json_file(self, tmp_path):
+        # json reads the bare NaN literal as a float
+        path = tmp_path / "nan.json"
+        path.write_text('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0},'
+                        ' {"id": 1, "x": NaN, "y": 0.0}],'
+                        ' "edges": [{"a": 0, "b": 1, "rest_length": 1.0}]}')
+        with pytest.raises(SchemaError, match="node 1"):
+            networks.load(path)
+
+
+class TestSharedEdges:
+    def test_edge_arrays_are_read_only(self, lattice_4x4):
+        for arr in lattice_4x4.edge_arrays():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_with_positions_shares_validated_edges(self, lattice_4x4):
+        moved = lattice_4x4.with_positions(lattice_4x4.positions + 0.1)
+        assert moved.edges == lattice_4x4.edges
+        for new, old in zip(moved.edge_arrays(), lattice_4x4.edge_arrays()):
+            assert new is old
+
+    def test_with_positions_rejects_a_wrong_shape(self, lattice_4x4):
+        with pytest.raises(SchemaError, match="shape"):
+            lattice_4x4.with_positions(lattice_4x4.positions[:-1])
+        with pytest.raises(SchemaError, match="shape"):
+            lattice_4x4.with_positions(lattice_4x4.positions.ravel())
+
+    def test_with_positions_rejects_nan(self, lattice_4x4):
+        x = lattice_4x4.positions.copy()
+        x[3, 0] = math.nan
+        with pytest.raises(SchemaError, match="node 3"):
+            lattice_4x4.with_positions(x)
+
+    def test_copy_is_independent(self, lattice_4x4):
+        positions = lattice_4x4.positions.copy()
+        fixed = lattice_4x4.fixed.copy()
+        dup = lattice_4x4.copy()
+        dup.positions[0] += 1.0
+        dup.fixed[:] = ~dup.fixed
+        dup.metadata["extra"] = "1"
+        assert np.array_equal(lattice_4x4.positions, positions)
+        assert np.array_equal(lattice_4x4.fixed, fixed)
+        assert "extra" not in lattice_4x4.metadata
+
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, tmp_path, lattice_4x4):

@@ -73,8 +73,7 @@ class TestSndBasis:
         dup = rigidity.RigidityMatrix(
             np.insert(R.entries, k + 1, R.entries[k], axis=0),
             R.row_meta[:k + 1] + [R.row_meta[k]] + R.row_meta[k + 1:],
-            R.normalized, np.insert(R.row_order, k + 1, R.row_order[k]),
-            R.n_nodes)
+            R.normalized, R.n_nodes)
         before = nullspace.snd_basis(R)
         after = nullspace.snd_basis(dup)
         assert len(after) == len(before)
@@ -85,7 +84,7 @@ class TestSndBasis:
         entries = R.entries.copy()
         entries[5, np.flatnonzero(entries[5])[0]] = np.nan
         bad = rigidity.RigidityMatrix(entries, R.row_meta, R.normalized,
-                                      R.row_order, R.n_nodes)
+                                      R.n_nodes)
         # each independent constraint before row 5 retires one row
         n_live = R.shape[1] - np.linalg.matrix_rank(R.entries[:5])
         with pytest.raises(NumericalBreakdown,
@@ -164,8 +163,7 @@ class TestSpanEquivalence:
         # a matrix with exactly that null space: project onto the complement
         _, _, vt = np.linalg.svd(vectors)
         complement = vt[len(basis):]
-        M = rigidity.RigidityMatrix(complement, [], True,
-                                    np.arange(len(complement)), hinged.n_nodes)
+        M = rigidity.RigidityMatrix(complement, [], True, hinged.n_nodes)
         again = nullspace.snd_basis(M)
         assert again.participation == basis.participation
 
@@ -289,6 +287,6 @@ class TestStatisticalDominance:
         for i in (1, m // 3, 2 * m // 3, m):
             prefix = rigidity.RigidityMatrix(
                 R.entries[:i].copy(), R.row_meta[:i], R.normalized,
-                R.row_order[:i].copy(), R.n_nodes)
+                R.n_nodes)
             basis = nullspace.snd_basis(prefix)
             assert max(m_.max_residual(prefix) for m_ in basis.modes) <= 1e-8

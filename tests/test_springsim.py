@@ -61,6 +61,21 @@ class TestRelax:
         scale = np.abs(analytic).max()
         assert np.abs(analytic - numeric).max() / scale <= 1e-6
 
+    def test_one_step_is_one_kernel_step(self, lattice_4x4):
+        # relax and forces share one kernel: without noise a single step is
+        # exactly x + dt * forces(x) on the free nodes
+        rng = np.random.default_rng(1)
+        x = lattice_4x4.positions + rng.normal(0, 0.05,
+                                               lattice_4x4.positions.shape)
+        net = lattice_4x4.with_positions(x)
+        config = SimConfig(steps=1, noise_amplitude=0.0, dt=0.05,
+                           stiffness=1.7, l0=0.9)
+        res = springsim.relax(net, config)
+        free = ~net.fixed
+        expected = x + config.dt * springsim.forces(x, net, config)
+        assert np.array_equal(res.positions[free], expected[free])
+        assert np.array_equal(res.positions[net.fixed], x[net.fixed])
+
     def test_fixed_nodes_never_move(self, lattice_4x4):
         net = lattice_4x4.copy()
         net.positions[5] += 0.3        # disturb so forces are nonzero
