@@ -3,11 +3,11 @@
 __version__ = "0.1.0"
 
 from .networks import Network, Edge, GeneratorSpec, build_network, fixture, generate
-from .rigidity import RigidityMatrix, build, dof, numeric_rank
+from .rigidity import build, dof, numeric_rank
 from .nullspace import Mode, ModeBasis, snd_basis, svd_basis
 
 __all__ = [
     "Network", "Edge", "GeneratorSpec", "build_network", "fixture", "generate",
-    "RigidityMatrix", "build", "dof", "numeric_rank",
+    "build", "dof", "numeric_rank",
     "Mode", "ModeBasis", "snd_basis", "svd_basis",
 ]

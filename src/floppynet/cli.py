@@ -48,8 +48,7 @@ def cmd_decompose(args) -> None:
     net = _load_network(args)
     R = rigidity.build(net)
     if args.ensemble > 1:
-        ens = nullspace.ensemble(R, m=args.ensemble, base_seed=args.seed,
-                                 zero_tol=args.zero_tol)
+        ens = nullspace.ensemble(R, m=args.ensemble, base_seed=args.seed)
         data = {
             "runs": [nullspace.basis_to_dict(b) for b in ens.bases],
             "participation": [b.participation for b in ens.bases],
@@ -57,15 +56,13 @@ def cmd_decompose(args) -> None:
         }
     else:
         if args.method == "snd":
-            basis = nullspace.snd_basis(R, zero_tol=args.zero_tol,
-                                        shuffle_seed=args.seed)
+            basis = nullspace.snd_basis(R, shuffle_seed=args.seed)
         elif args.method == "svd":
-            basis = nullspace.svd_basis(R, zero_tol=args.zero_tol)
+            basis = nullspace.svd_basis(R)
         else:
-            basis = multiscale.multiscale_basis(net, zero_tol=args.zero_tol,
-                                                seed=args.seed)
+            basis = multiscale.multiscale_basis(net, seed=args.seed)
         data = nullspace.basis_to_dict(basis)
-    if not R.has_anchors:
+    if not net.fixed.any():
         data["warning"] = "network has no fixed nodes; basis includes rigid-body motions"
     _write_json(data, args.out)
 
@@ -252,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="snd",
                    choices=["snd", "svd", "multiscale"])
     p.add_argument("--ensemble", type=int, default=1)
-    p.add_argument("--zero-tol", type=float, default=nullspace.ZERO_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompose)
 

@@ -134,8 +134,7 @@ def _lift(vector: np.ndarray, nodes: list[int], n_coords: int) -> np.ndarray:
     return v
 
 
-def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
-                     seed: int = 0) -> ModeBasis:
+def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     """Whole-section rotational modes plus component-local modes.
 
     Candidate rotations that are pinned by other paths fail the null-space
@@ -156,7 +155,7 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
         for axis in (0, 1):
             v = np.zeros(network.n_coords)
             v[2 * u + axis] = 1.0
-            candidates.append(make_mode(v, zero_tol, tag="component-local"))
+            candidates.append(make_mode(v, tag="component-local"))
 
     # one rotation candidate per hinge; fixed nodes act as hinges to ground
     hinge_nodes = sorted(decomp.articulation_nodes
@@ -172,7 +171,7 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
         v = _rotation_about(network, hinge, section)
         if np.linalg.norm(v) == 0.0:
             continue
-        mode = make_mode(v, zero_tol, tag="rotational")
+        mode = make_mode(v, tag="rotational")
         if mode.max_residual(R) <= RESIDUAL_TOL:
             candidates.append(mode)
 
@@ -181,11 +180,10 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
         sub, nodes = _component_network(network, comp, decomp.articulation_nodes)
         if sub.fixed.all():
             continue
-        sub_basis = nullspace.snd_basis(rigidity.build(sub), zero_tol,
-                                        shuffle_seed=seed + ci)
+        sub_basis = nullspace.snd_basis(rigidity.build(sub), shuffle_seed=seed + ci)
         for m in sub_basis.modes:
             lifted = make_mode(_lift(m.vector, nodes, network.n_coords),
-                               zero_tol, tag="component-local")
+                               tag="component-local")
             if lifted.max_residual(R) <= RESIDUAL_TOL:
                 candidates.append(lifted)
 
@@ -211,7 +209,7 @@ def multiscale_basis(network: Network, zero_tol: float = nullspace.ZERO_TOL,
     if len(accepted) < total:
         log.info("multiscale-incomplete: %d of %d modes assembled; "
                  "filling from plain decomposition", len(accepted), total)
-        for m in nullspace.snd_basis(R, zero_tol, shuffle_seed=seed).modes:
+        for m in nullspace.snd_basis(R, shuffle_seed=seed).modes:
             fallback = Mode(m.vector, m.support, m.size_s, m.node_support,
                             tag="component-local")
             try_accept(fallback)

@@ -50,13 +50,14 @@ class Network:
     Node ids are the row indices of ``positions`` (contiguous from 0).  Edges
     are stored with ``a < b``; unordered duplicates, self-loops, non-finite
     positions and rest lengths that are not positive and finite are rejected
-    at construction.  The edges are validated and turned into read-only
-    arrays once; networks derived by :meth:`with_positions` share both.
+    at construction.  The edges are validated once and stored as a tuple,
+    with read-only arrays beside it; networks derived by
+    :meth:`with_positions` share both.
     """
 
     positions: np.ndarray
     fixed: np.ndarray
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -83,7 +84,7 @@ class Network:
             if not 0.0 < rest < math.inf:
                 raise SchemaError(f"edge ({a},{b}) rest_length {rest} is not positive and finite")
             canonical.append(Edge(a, b, rest))
-        self.edges = canonical
+        self.edges = tuple(canonical)
         a = np.array([e.a for e in canonical], dtype=int)
         b = np.array([e.b for e in canonical], dtype=int)
         rest = np.array([e.rest_length for e in canonical], dtype=float)
@@ -491,6 +492,14 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
     # Re-draw removal sets, nudging the count, until the DoF target is hit.
     from . import rigidity  # deferred import; rigidity depends on this module
 
+    # removing edges never lowers the DoF, so a target below the full
+    # contact network's DoF is out of reach
+    full_dof = rigidity.dof(rigidity.build(full))
+    if full_dof > spec.target_dof:
+        raise PackingNotConverged(
+            f"seed {spec.seed}: the full contact network already has DoF "
+            f"{full_dof}, above target DoF {spec.target_dof}")
+
     adjust = 0
     for _ in range(400):
         count = int(np.clip(n_remove + adjust, 1, len(interior) - 1))
@@ -505,7 +514,8 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
         # each additional non-redundant removal frees about one DoF
         adjust += spec.target_dof - dof
     raise PackingNotConverged(
-        f"could not reach target DoF {spec.target_dof} by edge removal")
+        f"seed {spec.seed}: could not reach target DoF {spec.target_dof} "
+        f"by edge removal")
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -12,14 +12,12 @@ quantify how local a basis is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdown
 from . import rigidity
-from .rigidity import RigidityMatrix
 
 #: Entries below this magnitude (on unit-norm vectors) are hard-zeroed and
 #: do not count towards a mode's support.
@@ -51,8 +49,8 @@ class Mode:
     node_support: tuple[int, ...]
     tag: str = ""
 
-    def max_residual(self, R: RigidityMatrix) -> float:
-        return float(np.abs(R.entries @ self.vector).max()) if R.shape[0] else 0.0
+    def max_residual(self, R: np.ndarray) -> float:
+        return float(np.abs(R @ self.vector).max()) if R.shape[0] else 0.0
 
 
 @dataclass
@@ -89,8 +87,8 @@ class DecompositionEnsemble:
         return np.array([b.participation for b in self.bases])
 
 
-def _finalize_vector(v: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Normalize, hard-zero sub-threshold entries, and canonicalize the sign.
+def _finalize_vector(v: np.ndarray) -> np.ndarray:
+    """Normalize, hard-zero entries below ``ZERO_TOL``, and canonicalize the sign.
 
     The sign makes the first entry of (nearly) largest magnitude positive.
     """
@@ -99,7 +97,7 @@ def _finalize_vector(v: np.ndarray, zero_tol: float) -> np.ndarray:
     if norm == 0.0:
         return v
     v /= norm
-    v[np.abs(v) < zero_tol] = 0.0
+    v[np.abs(v) < ZERO_TOL] = 0.0
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return v
@@ -111,8 +109,8 @@ def _finalize_vector(v: np.ndarray, zero_tol: float) -> np.ndarray:
     return v
 
 
-def make_mode(vector: np.ndarray, zero_tol: float = ZERO_TOL, tag: str = "") -> Mode:
-    v = _finalize_vector(vector, zero_tol)
+def make_mode(vector: np.ndarray, tag: str = "") -> Mode:
+    v = _finalize_vector(vector)
     support = tuple(int(i) for i in np.flatnonzero(v))
     nodes = tuple(sorted({i // 2 for i in support}))
     return Mode(v, support, len(support), nodes, tag)
@@ -127,8 +125,7 @@ def sort_modes(modes: list[Mode]) -> list[Mode]:
     return sorted(modes, key=_mode_sort_key)
 
 
-def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
-              shuffle_seed: int | None = None) -> ModeBasis:
+def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
     """Sparse null-space basis by iterative constraint elimination.
 
     The working matrix starts as the identity; each constraint row is absorbed
@@ -141,11 +138,7 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
     updates, never O(n^2).  ``shuffle_seed`` permutes the constraint rows
     first.
     """
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
-    if shuffle_seed is not None:
-        R = rigidity.shuffle_rows(R, shuffle_seed)
-    A = R.entries
+    A = R if shuffle_seed is None else rigidity.shuffle_rows(R, shuffle_seed)
     m, n = A.shape
     H = np.eye(n)
     live = np.ones(n, dtype=bool)
@@ -187,20 +180,19 @@ def snd_basis(R: RigidityMatrix, zero_tol: float = ZERO_TOL,
         H[p] = 0.0
         live[p] = False
         n_live -= 1
-    modes = sort_modes([make_mode(row, zero_tol) for row in H[live]])
+    modes = sort_modes([make_mode(row) for row in H[live]])
     return ModeBasis(modes, "SND", shuffle_seed)
 
 
-def svd_basis(R: RigidityMatrix, tol: float = rigidity.RANK_TOL,
-              zero_tol: float = ZERO_TOL) -> ModeBasis:
+def svd_basis(R: np.ndarray) -> ModeBasis:
     """Null-space basis from the right singular vectors of small singular value."""
     m, n = R.shape
     if m == 0:
         rows = np.eye(n)
     else:
-        _, s, vt = np.linalg.svd(R.entries)
-        rows = vt[rigidity.rank_from_singular_values(s, tol):]
-    modes = sort_modes([make_mode(row, zero_tol) for row in rows])
+        _, s, vt = np.linalg.svd(R)
+        rows = vt[rigidity.rank_from_singular_values(s):]
+    modes = sort_modes([make_mode(row) for row in rows])
     return ModeBasis(modes, "SVD", None)
 
 
@@ -222,21 +214,14 @@ def involvement_Q(basis: ModeBasis, n_nodes: int | None = None) -> dict[int, int
     return q
 
 
-def ensemble(R: RigidityMatrix, m: int = 100, seeds: Sequence[int] | None = None,
-             base_seed: int = 0,
-             zero_tol: float = ZERO_TOL) -> DecompositionEnsemble:
-    """``m`` independent decompositions with shuffled constraint rows, in run order."""
+def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> DecompositionEnsemble:
+    """``m`` SND runs in run order, run k with its rows shuffled by seed ``base_seed + k``."""
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    if seeds is None:
-        seeds = [base_seed + i for i in range(m)]
-    if len(seeds) != m:
-        raise ValueError("need exactly one seed per run")
-
     bases = []
-    for idx, seed in enumerate(seeds):
+    for idx in range(m):
         try:
-            bases.append(snd_basis(R, zero_tol=zero_tol, shuffle_seed=int(seed)))
+            bases.append(snd_basis(R, shuffle_seed=int(base_seed + idx)))
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"run {idx}: {exc}") from exc
     return DecompositionEnsemble(bases, m)

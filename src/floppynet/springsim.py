@@ -31,7 +31,6 @@ class SimConfig:
     steps: int = 20000
     noise_amplitude: float = 1e-4   # uniform displacement noise, per coordinate
     seed: int = 0
-    boundary_protocol: str = "none"  # none | shear_top_row | radial_stretch
     strain: float = 0.08            # shear strain gamma
 
     def __post_init__(self):

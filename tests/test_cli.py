@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import floppynet
 from floppynet import cli, networks, render
 
 
@@ -46,6 +50,7 @@ class TestDecompose:
         data = json.loads(out.read_text())
         assert data["method"] == "SND"
         assert len(data["modes"]) == 4
+        assert "warning" not in data
 
     def test_ensemble_runs_have_four_modes(self, tmp_path):
         netfile = tmp_path / "net.json"
@@ -82,6 +87,33 @@ class TestDecompose:
         run(["decompose", "--network", netfile, "--method", "svd",
              "--out", tmp_path / "b.json"])
         assert netfile.read_bytes() == before
+
+    @pytest.mark.parametrize("method", ["snd", "svd", "multiscale"])
+    def test_no_fixed_nodes_warns(self, tmp_path, method):
+        netfile = tmp_path / "free.json"
+        networks.save(networks.build_network(
+            [(0.0, 0.0), (1.0, 0.1), (0.4, 0.9)], [(0, 1), (1, 2), (0, 2)]),
+            netfile)
+        out = tmp_path / "basis.json"
+        assert run(["decompose", "--network", netfile, "--method", method,
+                    "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["warning"] == ("network has no fixed nodes; "
+                                   "basis includes rigid-body motions")
+        assert len(data["modes"]) == 3
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the participation t-test, which imports it itself
+    src = os.path.dirname(os.path.dirname(floppynet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, floppynet, floppynet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestControlCommand:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from floppynet import networks, rigidity
 from floppynet.errors import (DuplicateEdgeError, GeneratorSpecError,
-                              SchemaError, SelfLoopError)
+                              PackingNotConverged, SchemaError, SelfLoopError)
 
 from conftest import fd_dof
 
@@ -133,6 +133,17 @@ class TestPacking:
         assert np.array_equal(a.positions, b.positions)
         assert a.edges == b.edges
 
+    def test_unreachable_target_fails_before_redrawing(self):
+        # the full contact network of this seed already has DoF 19, and
+        # removing edges never lowers the DoF
+        spec = networks.GeneratorSpec(kind="bidisperse_packing",
+                                      seed=641987627, n_disks=48,
+                                      target_dof=18)
+        with pytest.raises(PackingNotConverged,
+                           match="seed 641987627: the full contact network "
+                                 "already has DoF 19, above target DoF 18"):
+            networks.generate_bidisperse_packing(spec)
+
 
 class TestFixtures:
     def test_robot_arm_dof(self, robot_arm):
@@ -221,6 +232,12 @@ class TestSharedEdges:
         with pytest.raises(SchemaError, match="node 3"):
             lattice_4x4.with_positions(x)
 
+    def test_edges_cannot_be_edited_after_construction(self, lattice_4x4):
+        dup = lattice_4x4.copy()
+        with pytest.raises(AttributeError):
+            dup.edges.append(networks.Edge(0, 15, 3.0))
+        assert lattice_4x4.n_edges == len(lattice_4x4.edge_arrays()[0]) == 21
+
     def test_copy_is_independent(self, lattice_4x4):
         positions = lattice_4x4.positions.copy()
         fixed = lattice_4x4.fixed.copy()
@@ -240,7 +257,7 @@ class TestJsonRoundTrip:
         loaded = networks.load(path)
         assert np.array_equal(loaded.positions, lattice_4x4.positions)
         assert np.array_equal(loaded.fixed, lattice_4x4.fixed)
-        assert loaded.edges == sorted(lattice_4x4.edges)
+        assert list(loaded.edges) == sorted(lattice_4x4.edges)
         assert loaded.metadata == lattice_4x4.metadata
 
     def test_save_load_save_byte_identical(self, tmp_path, robot_arm):
@@ -285,5 +302,5 @@ class TestJsonRoundTrip:
                                       dilution_fraction=0.7, seed=seed)
         net = networks.generate_triangular(spec)
         loaded = networks.from_dict(networks.to_dict(net))
-        assert loaded.edges == sorted(net.edges)
+        assert list(loaded.edges) == sorted(net.edges)
         assert np.array_equal(loaded.positions, net.positions)

@@ -49,11 +49,6 @@ class TestSndBasis:
             assert np.linalg.norm(m.vector) == pytest.approx(1.0, abs=1e-12)
             assert m.size_s == len(m.support)
 
-    def test_bad_tolerances(self, robot_arm):
-        R = rigidity.build(robot_arm)
-        with pytest.raises(ValueError):
-            nullspace.snd_basis(R, zero_tol=0.0)
-
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_elimination_invariant_random_shuffles(self, seed):
@@ -70,10 +65,7 @@ class TestSndBasis:
         # is skipped and retires no row
         R = rigidity.build(lattice_4x4)
         k = 3
-        dup = rigidity.RigidityMatrix(
-            np.insert(R.entries, k + 1, R.entries[k], axis=0),
-            R.row_meta[:k + 1] + [R.row_meta[k]] + R.row_meta[k + 1:],
-            R.normalized, R.n_nodes)
+        dup = np.insert(R, k + 1, R[k], axis=0)
         before = nullspace.snd_basis(R)
         after = nullspace.snd_basis(dup)
         assert len(after) == len(before)
@@ -81,12 +73,10 @@ class TestSndBasis:
 
     def test_breakdown_names_where_elimination_stopped(self, lattice_4x4):
         R = rigidity.build(lattice_4x4)
-        entries = R.entries.copy()
-        entries[5, np.flatnonzero(entries[5])[0]] = np.nan
-        bad = rigidity.RigidityMatrix(entries, R.row_meta, R.normalized,
-                                      R.n_nodes)
+        bad = R.copy()
+        bad[5, np.flatnonzero(bad[5])[0]] = np.nan
         # each independent constraint before row 5 retires one row
-        n_live = R.shape[1] - np.linalg.matrix_rank(R.entries[:5])
+        n_live = R.shape[1] - np.linalg.matrix_rank(R[:5])
         with pytest.raises(NumericalBreakdown,
                            match=f"constraint 5 of {R.shape[0]}: "
                                  f"{n_live} live rows left"):
@@ -163,8 +153,7 @@ class TestSpanEquivalence:
         # a matrix with exactly that null space: project onto the complement
         _, _, vt = np.linalg.svd(vectors)
         complement = vt[len(basis):]
-        M = rigidity.RigidityMatrix(complement, [], True, hinged.n_nodes)
-        again = nullspace.snd_basis(M)
+        again = nullspace.snd_basis(complement)
         assert again.participation == basis.participation
 
 
@@ -218,7 +207,7 @@ class TestMetrics:
 class TestEnsemble:
     def test_singleton_matches_direct(self, lattice_4x4):
         R = rigidity.build(lattice_4x4)
-        ens = nullspace.ensemble(R, m=1, seeds=[42])
+        ens = nullspace.ensemble(R, m=1, base_seed=42)
         direct = nullspace.snd_basis(R, shuffle_seed=42)
         assert np.array_equal(ens.bases[0].vectors(), direct.vectors())
 
@@ -285,8 +274,6 @@ class TestStatisticalDominance:
         R = rigidity.build(lattice_4x4)
         m = R.shape[0]
         for i in (1, m // 3, 2 * m // 3, m):
-            prefix = rigidity.RigidityMatrix(
-                R.entries[:i].copy(), R.row_meta[:i], R.normalized,
-                R.n_nodes)
+            prefix = R[:i]
             basis = nullspace.snd_basis(prefix)
             assert max(m_.max_residual(prefix) for m_ in basis.modes) <= 1e-8
