@@ -317,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_decompose and args.ensemble > 1 and args.method != "snd":
+        parser.error(f"decompose --ensemble runs SND only, not --method {args.method}")
     try:
         args.func(args)
     except FloppyNetError as exc:

@@ -6,6 +6,14 @@ top-row shear protocol, and per-edge extensions under radial stretching of a
 circular boundary.  One kernel holds the spring force arithmetic: ``forces``
 wraps it, and ``relax`` calls it at every step on the network's edge arrays,
 which are built once when the network is constructed.
+
+A relax step costs a few numpy calls.  The kernel gathers and scatters on
+flat ``2 * node + axis`` coordinates, so two ``bincount`` calls sum every
+(node, axis) bin over its edges in edge order.  The drift and the noise are
+added in place under the free-node mask, so fixed nodes are never written.
+The noise is drawn for a block of steps at a time from the same stream;
+``Generator.uniform`` maps the stream to the same values however the draws
+are split, so every trajectory matches a per-step draw bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .networks import ROW_SPACING, Network
 #: Energy at or below this many noise-variance units per edge is considered
 #: indistinguishable from the noise floor.
 NOISE_FLOOR_FACTOR = 100.0
+
+#: Steps of noise drawn per ``rng.uniform`` call in ``relax``.
+_NOISE_BLOCK = 256
 
 
 @dataclass
@@ -51,6 +62,7 @@ class SimResult:
     shear_modulus: float | None = None
     noise_floor_flagged: bool = False
     energy_trace: np.ndarray | None = None
+    max_free_force: float = 0.0     # largest free-node force norm at the end
 
 
 def _spring_energy(x, a, b, rest, k_over_l0) -> float:
@@ -59,17 +71,26 @@ def _spring_energy(x, a, b, rest, k_over_l0) -> float:
     return float(0.5 * k_over_l0 * ((lengths - rest) ** 2).sum())
 
 
-def _spring_forces(x, a, b, rest, k_over_l0) -> np.ndarray:
-    """The force kernel: per-node negative gradient of the stretching energy."""
-    n = len(x)
-    d = x[a] - x[b]
-    lengths = np.sqrt((d * d).sum(axis=1))
-    pair = (-k_over_l0 * (lengths - rest) / lengths)[:, None] * d
-    out = np.empty((n, 2))
-    for axis in (0, 1):
-        out[:, axis] = (np.bincount(a, weights=pair[:, axis], minlength=n)
-                        - np.bincount(b, weights=pair[:, axis], minlength=n))
-    return out
+def _flat_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Flat coordinate indices ``2 * node + axis`` of each edge's two ends."""
+    axes = np.arange(2)
+    return (2 * a[:, None] + axes).ravel(), (2 * b[:, None] + axes).ravel()
+
+
+def _spring_forces(x, ia, ib, rest, k_over_l0) -> np.ndarray:
+    """The force kernel: per-node negative gradient of the stretching energy.
+
+    ``ia`` and ``ib`` come from ``_flat_ends``; each (node, axis) bin of the
+    two scatters adds its edges' terms in edge order.
+    """
+    xf = x.ravel()
+    d = xf[ia] - xf[ib]
+    dd = d * d
+    lengths = np.sqrt(dd[0::2] + dd[1::2])
+    pair = (-k_over_l0 * (lengths - rest) / lengths).repeat(2) * d
+    out = np.bincount(ia, weights=pair, minlength=xf.size)
+    out -= np.bincount(ib, weights=pair, minlength=xf.size)
+    return out.reshape(-1, 2)
 
 
 def stretching_energy(positions: np.ndarray, network: Network,
@@ -79,7 +100,16 @@ def stretching_energy(positions: np.ndarray, network: Network,
 
 def forces(positions: np.ndarray, network: Network, config: SimConfig) -> np.ndarray:
     """Negative gradient of the stretching energy, per node."""
-    return _spring_forces(positions, *network.edge_arrays(), config.stiffness / config.l0)
+    a, b, rest = network.edge_arrays()
+    return _spring_forces(positions, *_flat_ends(a, b), rest,
+                          config.stiffness / config.l0)
+
+
+def _diverged(x, free, step, config) -> IntegrationDiverged:
+    bad = int((~np.isfinite(x[free])).sum())
+    return IntegrationDiverged(
+        f"positions diverged at step {step} of {config.steps} (dt={config.dt}):"
+        f" {bad} of {2 * int(free.sum())} free coordinates are non-finite")
 
 
 def relax(network: Network, config: SimConfig, record_energy: bool = False,
@@ -87,14 +117,24 @@ def relax(network: Network, config: SimConfig, record_energy: bool = False,
     """Run the overdamped integration; fixed nodes are held exactly.
 
     Every step moves the free nodes by ``dt`` times the force kernel, then
-    adds the noise.  The reported energy is evaluated on the final positions
-    as-is, with no extra noise applied in the measurement.
+    adds the noise; both adds are in place under the free-node mask.  The
+    noise comes from one ``rng.uniform`` call per block of steps, which
+    yields the same values as one call per step.  The reported energy is
+    evaluated on the final positions as-is, with no extra noise applied in
+    the measurement, and ``max_free_force`` is the largest free-node force
+    norm there (0.0 when no node is free).
     """
     x = network.positions.copy()
     free = ~network.fixed
+    free_xy = np.repeat(free[:, None], 2, axis=1)
     n_free = int(free.sum())
     a, b, rest = network.edge_arrays()
+    ia, ib = _flat_ends(a, b)
     k_over_l0 = config.stiffness / config.l0
+    amp = config.noise_amplitude
+    noisy = amp > 0 and n_free > 0
+    if noisy:
+        noise = np.zeros((min(_NOISE_BLOCK, config.steps), len(x), 2))
     rng = np.random.default_rng(config.seed)
     trace = np.empty(config.steps) if record_energy else None
 
@@ -102,27 +142,33 @@ def relax(network: Network, config: SimConfig, record_energy: bool = False,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
             if len(a):
-                x[free] += config.dt * _spring_forces(x, a, b, rest, k_over_l0)[free]
-            if config.noise_amplitude > 0 and n_free:
-                x[free] += rng.uniform(-config.noise_amplitude,
-                                       config.noise_amplitude, (n_free, 2))
+                drift = _spring_forces(x, ia, ib, rest, k_over_l0)
+                drift *= config.dt
+                np.add(x, drift, out=x, where=free_xy)
+            if noisy:
+                row = step % _NOISE_BLOCK
+                if row == 0:
+                    block = min(_NOISE_BLOCK, config.steps - step)
+                    noise[:block, free] = rng.uniform(-amp, amp, (block, n_free, 2))
+                np.add(x, noise[row], out=x, where=free_xy)
             if record_energy:
                 trace[step] = _spring_energy(x, a, b, rest, k_over_l0)
             if step % 500 == 499 and not np.isfinite(x).all():
-                raise IntegrationDiverged(
-                    f"positions diverged at dt={config.dt}")
+                raise _diverged(x, free, step + 1, config)
     if not np.isfinite(x).all():
-        raise IntegrationDiverged(f"positions diverged at dt={config.dt}")
+        raise _diverged(x, free, config.steps, config)
 
     energy = _spring_energy(x, a, b, rest, k_over_l0)
     extension = np.linalg.norm(x[a] - x[b], axis=1) - rest
     if diameter is None:
         diameter = network.diameter()
     scaled = extension / diameter if diameter > 0 else extension.copy()
-    floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * config.noise_amplitude ** 2
+    floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * amp ** 2
+    final = _spring_forces(x, ia, ib, rest, k_over_l0)
+    max_free_force = float(np.linalg.norm(final[free], axis=1).max()) if n_free else 0.0
     return SimResult(x, energy, extension, scaled,
                      noise_floor_flagged=bool(energy <= floor),
-                     energy_trace=trace)
+                     energy_trace=trace, max_free_force=max_free_force)
 
 
 def _lattice_dims(network: Network) -> tuple[int, int]:

@@ -62,6 +62,25 @@ class TestDecompose:
         assert len(data["runs"]) == 10
         assert all(len(r["modes"]) == 4 for r in data["runs"])
 
+    @pytest.mark.parametrize("method", ["svd", "multiscale"])
+    def test_ensemble_refuses_other_methods(self, tmp_path, capsys, method):
+        out = tmp_path / "ens.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["decompose", "--fixture", "robot_arm", "--method", method,
+                 "--ensemble", 2, "--out", out])
+        assert exc.value.code == 2
+        assert "SND only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ensemble_with_snd_method_is_the_default_ensemble(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["--seed", 4, "decompose", "--fixture", "robot_arm",
+                    "--method", "snd", "--ensemble", 3, "--out", a]) == 0
+        assert run(["--seed", 4, "decompose", "--fixture", "robot_arm",
+                    "--ensemble", 3, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert {r["method"] for r in json.loads(a.read_text())["runs"]} == {"SND"}
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from floppynet import networks, springsim
+from floppynet import experiments, networks, rigidify, springsim
 from floppynet.errors import BoundaryRowsError, IntegrationDiverged
-from floppynet.springsim import SimConfig
+from floppynet.springsim import _NOISE_BLOCK, SimConfig
 
 
 def fd_forces(positions, network, config, eps=1e-6):
@@ -19,6 +19,63 @@ def fd_forces(positions, network, config, eps=1e-6):
                              - springsim.stretching_energy(xm, network, config)
                              ) / (2 * eps)
     return out
+
+
+def _reference_forces(x, a, b, rest, k_over_l0):
+    """Oracle force kernel: one ``bincount`` per endpoint and axis."""
+    n = len(x)
+    d = x[a] - x[b]
+    lengths = np.sqrt((d * d).sum(axis=1))
+    pair = (-k_over_l0 * (lengths - rest) / lengths)[:, None] * d
+    out = np.empty((n, 2))
+    for axis in (0, 1):
+        out[:, axis] = (np.bincount(a, weights=pair[:, axis], minlength=n)
+                        - np.bincount(b, weights=pair[:, axis], minlength=n))
+    return out
+
+
+def _reference_relax(network, config, record_energy=False, diameter=None):
+    """Oracle: the per-step loop, gathering and scattering the free nodes and
+    drawing each step's noise on its own."""
+    x = network.positions.copy()
+    free = ~network.fixed
+    n_free = int(free.sum())
+    a, b, rest = network.edge_arrays()
+    k_over_l0 = config.stiffness / config.l0
+    rng = np.random.default_rng(config.seed)
+    trace = np.empty(config.steps) if record_energy else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            if len(a):
+                x[free] += config.dt * _reference_forces(x, a, b, rest, k_over_l0)[free]
+            if config.noise_amplitude > 0 and n_free:
+                x[free] += rng.uniform(-config.noise_amplitude,
+                                       config.noise_amplitude, (n_free, 2))
+            if record_energy:
+                trace[step] = springsim._spring_energy(x, a, b, rest, k_over_l0)
+    energy = springsim._spring_energy(x, a, b, rest, k_over_l0)
+    extension = np.linalg.norm(x[a] - x[b], axis=1) - rest
+    if diameter is None:
+        diameter = network.diameter()
+    scaled = extension / diameter if diameter > 0 else extension.copy()
+    floor = (springsim.NOISE_FLOOR_FACTOR * len(a) * k_over_l0
+             * config.noise_amplitude ** 2)
+    return springsim.SimResult(x, energy, extension, scaled,
+                               noise_floor_flagged=bool(energy <= floor),
+                               energy_trace=trace)
+
+
+def assert_same_run(res, ref):
+    assert np.array_equal(res.positions, ref.positions)
+    assert np.array_equal(res.per_edge_extension, ref.per_edge_extension)
+    assert np.array_equal(res.scaled_extension, ref.scaled_extension)
+    assert res.energy == ref.energy
+    assert res.noise_floor_flagged == ref.noise_floor_flagged
+    assert res.shear_modulus == ref.shear_modulus
+    if ref.energy_trace is None:
+        assert res.energy_trace is None
+    else:
+        assert np.array_equal(res.energy_trace, ref.energy_trace)
 
 
 @pytest.fixture
@@ -94,11 +151,113 @@ class TestRelax:
             springsim.relax(stretched_spring, SimConfig(dt=5.0, steps=2000,
                                                         noise_amplitude=0.0))
 
+    def test_divergence_names_the_step_it_was_seen(self, stretched_spring):
+        # the periodic check runs every 500 steps; the final one at the end
+        with pytest.raises(IntegrationDiverged,
+                           match=r"step 500 of 2000 \(dt=5.0\): 2 of 2 free"):
+            springsim.relax(stretched_spring, SimConfig(dt=5.0, steps=2000,
+                                                        noise_amplitude=0.0))
+        with pytest.raises(IntegrationDiverged, match=r"step 300 of 300 "):
+            springsim.relax(stretched_spring, SimConfig(dt=5.0, steps=300,
+                                                        noise_amplitude=0.0))
+
+    def test_max_free_force_is_the_kernel_at_the_end(self, lattice_4x4):
+        net = lattice_4x4.copy()
+        net.positions[5] += 0.3
+        cfg = SimConfig(steps=200, seed=4)
+        res = springsim.relax(net, cfg)
+        free = ~net.fixed
+        expected = np.linalg.norm(
+            springsim.forces(res.positions, net, cfg)[free], axis=1).max()
+        assert res.max_free_force == expected
+        assert res.max_free_force > 0.0
+
+    def test_max_free_force_zero_when_all_fixed(self, lattice_4x4):
+        net = lattice_4x4.copy()
+        net.positions[5] += 0.3
+        net.fixed[:] = True
+        res = springsim.relax(net, SimConfig(steps=10))
+        assert res.max_free_force == 0.0
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             SimConfig(dt=-1.0)
         with pytest.raises(ValueError):
             SimConfig(steps=0)
+
+
+def _disturbed_lattice(seed=5):
+    # dense enough that many (node, axis) bins sum three or more edges
+    spec = networks.GeneratorSpec(kind="triangular_lattice", dimensions=(7, 7),
+                                  dilution_fraction=0.8, seed=3,
+                                  boundary="fixed_rows")
+    net = networks.generate_triangular(spec)
+    rng = np.random.default_rng(seed)
+    kick = rng.normal(0, 0.05, net.positions.shape) * (~net.fixed)[:, None]
+    return net.with_positions(net.positions + kick)
+
+
+class TestMatchesPerStepLoop:
+    """``relax`` reproduces the per-step gather/scatter loop bit for bit."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    @pytest.mark.parametrize("steps", [1, _NOISE_BLOCK - 1, _NOISE_BLOCK,
+                                       _NOISE_BLOCK + 1, 1000])
+    def test_disturbed_lattice(self, steps, noise):
+        net = _disturbed_lattice()
+        cfg = SimConfig(steps=steps, noise_amplitude=noise, seed=steps)
+        assert_same_run(springsim.relax(net, cfg, record_energy=True),
+                        _reference_relax(net, cfg, record_energy=True))
+
+    def test_no_edges(self):
+        net = _disturbed_lattice().with_edges([])
+        cfg = SimConfig(steps=300, seed=2)
+        res = springsim.relax(net, cfg, record_energy=True)
+        assert_same_run(res, _reference_relax(net, cfg, record_energy=True))
+        assert res.max_free_force == 0.0
+
+    def test_no_free_nodes(self):
+        net = _disturbed_lattice()
+        net.fixed[:] = True
+        cfg = SimConfig(steps=300, seed=2)
+        res = springsim.relax(net, cfg, record_energy=True)
+        assert_same_run(res, _reference_relax(net, cfg, record_energy=True))
+        assert np.array_equal(res.positions, net.positions)
+
+    def test_sheared_lattice(self, monkeypatch):
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", seed=0, **experiments.TUNING_DEFAULTS))
+        cfg = SimConfig(steps=600)
+        res = springsim.shear_modulus(net, cfg)
+        monkeypatch.setattr(springsim, "relax", _reference_relax)
+        assert_same_run(res, springsim.shear_modulus(net, cfg))
+
+    def test_radial_stretch_of_a_small_packing(self, monkeypatch):
+        spec = networks.GeneratorSpec(kind="bidisperse_packing", seed=1,
+                                      n_disks=36, target_dof=12)
+        net = networks.generate_bidisperse_packing(spec)
+        cfg = SimConfig(steps=600, seed=3)
+        res = springsim.radial_stretch(net, cfg)
+        monkeypatch.setattr(springsim, "relax", _reference_relax)
+        assert_same_run(res, springsim.radial_stretch(net, cfg))
+
+
+@pytest.mark.parametrize("protocol, links, curve", [
+    ("MS", [(24, 31), (23, 24), (17, 23), (23, 31), (19, 25)],
+     [3.986282971002104e-06, 4.0652598834077525e-06, 3.937545473388749e-06,
+      4.810394398876749e-06, 5.294750281727894e-06, 6.398935243479014e-06]),
+    ("random", [(34, 40), (37, 44), (5, 11), (26, 27), (4, 5)],
+     [3.986282971002104e-06, 4.1195378573632786e-06, 5.097925731211798e-06,
+      5.598160306904868e-06, 5.880216923002456e-06, 5.880216923002456e-06]),
+])
+def test_tune_reproduces_recorded_curves(protocol, links, curve):
+    # values of the per-step loop in ``_reference_relax``; G at these totals
+    # sits near the noise floor, so any change in a noise draw shows up here
+    net = networks.generate_triangular(networks.GeneratorSpec(
+        kind="triangular_lattice", seed=0, **experiments.TUNING_DEFAULTS))
+    run = rigidify.tune(net, protocol, seed=100, stop_at=5)
+    assert run.link_sequence == links
+    assert run.g_curve == list(zip(range(24, 30), curve))
 
 
 class TestShearModulus:
