@@ -38,7 +38,6 @@ class Component(NamedTuple):
 class HingeDecomposition:
     components: list[Component]
     articulation_nodes: set[int]
-    component_tree: dict[int, set[int]]   # component index -> touching components
 
 
 def _bond_graph(network: Network) -> nx.Graph:
@@ -62,14 +61,7 @@ def find_hinges(network: Network) -> HingeDecomposition:
         nodes = tuple(sorted({v for e in edges for v in e}))
         comps.append(Component(nodes, edges))
     comps.sort(key=lambda c: (c.nodes[0], len(c.nodes), c.nodes))
-    articulation = set(nx.articulation_points(g))
-    tree: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if set(comps[i].nodes) & set(comps[j].nodes):
-                tree[i].add(j)
-                tree[j].add(i)
-    return HingeDecomposition(comps, articulation, tree)
+    return HingeDecomposition(comps, set(nx.articulation_points(g)))
 
 
 def _rotation_about(network: Network, center: int, section) -> np.ndarray:

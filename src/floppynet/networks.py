@@ -355,33 +355,51 @@ def generate_triangular(spec: GeneratorSpec) -> Network:
     return build_network(positions, edges, fixed, metadata)
 
 
-def _relax_disks(x, radii, container_radius, rng, sweeps, step=0.15):
+def _relax_disks(x, radii, container_radius, sweeps, step=0.15):
     """Overdamped descent on soft-disk overlap energy inside a circular wall.
 
-    Returns the worst pair-overlap ratio at exit.
+    ``x`` is moved in place.  Each sweep works on flat ``(n * n)`` per-axis
+    differences and adds the pair forces of the overlapping pairs only, found
+    in row-major order, with one ``bincount`` per axis.  So every disk adds
+    its partners' terms in ascending partner order, as a dense sum over the
+    partner axis does, and the terms left out are exact zeros: packings are
+    bit-identical to that dense sweep.  Returns the worst pair- or
+    wall-overlap ratio at exit.
     """
     n = len(radii)
     sum_r = radii[:, None] + radii[None, :]
+    sum_r.ravel()[:: n + 1] = -np.inf      # a disk never overlaps itself
+    sum_r = sum_r.ravel()
+    rows = np.repeat(np.arange(n), n)
+    x0 = x[:, 0]
+    x1 = x[:, 1]
     for _ in range(sweeps):
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
+        dx = (x0[:, None] - x0).ravel()
+        dy = (x1[:, None] - x1).ravel()
+        dist = np.sqrt(dx * dx + dy * dy)
         overlap = sum_r - dist
-        np.fill_diagonal(overlap, 0.0)
-        active = overlap > 0
-        force = np.zeros_like(x)
-        if active.any():
-            mag = np.where(active, overlap / dist, 0.0)
-            force += (mag[:, :, None] * diff).sum(axis=1)
-        r_c = np.linalg.norm(x, axis=1)
+        pairs = np.flatnonzero(overlap > 0)
+        if len(pairs):
+            pair_overlap = overlap[pairs]
+            mag = pair_overlap / dist[pairs]
+            row = rows[pairs]
+            fx = np.bincount(row, mag * dx[pairs], minlength=n)
+            fy = np.bincount(row, mag * dy[pairs], minlength=n)
+            worst = float((pair_overlap / sum_r[pairs]).max())
+        else:
+            fx, fy = np.zeros(n), np.zeros(n)
+            worst = 0.0
+        r_c = np.sqrt(x0 * x0 + x1 * x1)
         out = r_c + radii - container_radius
-        pressed = out > 0
-        if pressed.any():
-            inward = -x[pressed] / np.maximum(r_c[pressed, None], 1e-12)
-            force[pressed] += out[pressed, None] * inward
-        x += step * force
-        worst = float((overlap[active] / sum_r[active]).max()) if active.any() else 0.0
-        wall_worst = float((out[pressed] / radii[pressed]).max()) if pressed.any() else 0.0
+        pressed = np.flatnonzero(out > 0)
+        if len(pressed):
+            push = out[pressed]
+            reach = np.maximum(r_c[pressed], 1e-12)
+            fx[pressed] += push * (-x0[pressed] / reach)
+            fy[pressed] += push * (-x1[pressed] / reach)
+        x0 += step * fx
+        x1 += step * fy
+        wall_worst = float((push / radii[pressed]).max()) if len(pressed) else 0.0
         if worst < 5e-4 and wall_worst < 5e-4:
             break
     return max(worst, wall_worst)
@@ -409,25 +427,29 @@ def _pack_disks(spec: GeneratorSpec, rng: np.random.Generator):
     scale = 0.55
     for s in np.linspace(0.55, 1.0, 46):
         scale = s
-        worst = _relax_disks(x, radii * s, container_radius, rng, sweeps=300)
+        worst = _relax_disks(x, radii * s, container_radius, sweeps=300)
         if worst > 0.018:
             break               # overlaps no longer relax: over-pressed
     # descend in fine steps until the pressed state sits just past jamming,
     # with residual overlaps small enough that contacts stay within the
     # contact-length tolerance
-    for _ in range(60):
-        worst = _relax_disks(x, radii * scale, container_radius, rng, sweeps=600)
+    descents, descent_sweeps, polish_sweeps = 60, 600, 2000
+    for _ in range(descents):
+        worst = _relax_disks(x, radii * scale, container_radius,
+                             sweeps=descent_sweeps)
         if worst <= 0.015:
             break
         scale *= 0.998
     else:
         raise PackingNotConverged(
-            f"residual overlap {worst:.3g} at disk scale {scale:.4f} "
-            f"after relaxation budget")
-    worst = _relax_disks(x, radii * scale, container_radius, rng, sweeps=2000)
+            f"seed {spec.seed}: residual overlap {worst:.3g} at disk scale "
+            f"{scale:.4f} after {descents} descents of {descent_sweeps} sweeps")
+    worst = _relax_disks(x, radii * scale, container_radius,
+                         sweeps=polish_sweeps)
     if worst > 0.018:
         raise PackingNotConverged(
-            f"final polish left overlap {worst:.3g} at disk scale {scale:.4f}")
+            f"seed {spec.seed}: final polish left overlap {worst:.3g} at disk "
+            f"scale {scale:.4f} after {polish_sweeps} sweeps")
     return x, radii * scale, container_radius, scale
 
 
@@ -501,7 +523,8 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
             f"{full_dof}, above target DoF {spec.target_dof}")
 
     adjust = 0
-    for _ in range(400):
+    draws = 400
+    for _ in range(draws):
         count = int(np.clip(n_remove + adjust, 1, len(interior) - 1))
         chosen = rng.choice(len(interior), size=count, replace=False)
         removed = {(interior[i].a, interior[i].b) for i in chosen}
@@ -515,7 +538,8 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
         adjust += spec.target_dof - dof
     raise PackingNotConverged(
         f"seed {spec.seed}: could not reach target DoF {spec.target_dof} "
-        f"by edge removal")
+        f"in {draws} draws of edge removals; the last removed {count} edges "
+        f"and left DoF {dof}")
 
 
 # -- fixtures ----------------------------------------------------------------

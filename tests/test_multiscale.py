@@ -13,7 +13,6 @@ class TestFindHinges:
         decomp = multiscale.find_hinges(net)
         assert len(decomp.components) == 2
         assert decomp.articulation_nodes == {1}
-        assert decomp.component_tree[0] == {1}
 
     def test_fully_triangulated_lattice(self):
         spec = networks.GeneratorSpec(kind="triangular_lattice", dimensions=(3, 3))

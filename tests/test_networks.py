@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -143,6 +144,159 @@ class TestPacking:
                            match="seed 641987627: the full contact network "
                                  "already has DoF 19, above target DoF 18"):
             networks.generate_bidisperse_packing(spec)
+
+
+def _reference_relax_disks(x, radii, container_radius, sweeps, step=0.15):
+    """Oracle: the dense sweep over ``(n, n, 2)`` differences, summing every
+    partner's term, zeros included, over the partner axis."""
+    sum_r = radii[:, None] + radii[None, :]
+    for _ in range(sweeps):
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        overlap = sum_r - dist
+        np.fill_diagonal(overlap, 0.0)
+        active = overlap > 0
+        force = np.zeros_like(x)
+        if active.any():
+            mag = np.where(active, overlap / dist, 0.0)
+            force += (mag[:, :, None] * diff).sum(axis=1)
+        r_c = np.linalg.norm(x, axis=1)
+        out = r_c + radii - container_radius
+        pressed = out > 0
+        if pressed.any():
+            inward = -x[pressed] / np.maximum(r_c[pressed, None], 1e-12)
+            force[pressed] += out[pressed, None] * inward
+        x += step * force
+        worst = float((overlap[active] / sum_r[active]).max()) if active.any() else 0.0
+        wall_worst = float((out[pressed] / radii[pressed]).max()) if pressed.any() else 0.0
+        if worst < 5e-4 and wall_worst < 5e-4:
+            break
+    return max(worst, wall_worst)
+
+
+def _random_start(n, scale, seed=11):
+    """Radii, container and centres drawn as ``_pack_disks`` draws them."""
+    rng = np.random.default_rng(seed)
+    radii = np.empty(n)
+    radii[: n // 2] = networks.DISK_RADII[0]
+    radii[n // 2:] = networks.DISK_RADII[1]
+    rng.shuffle(radii)
+    container = math.sqrt((radii ** 2).sum() / 0.91)
+    theta = rng.uniform(0, 2 * math.pi, n)
+    rad = 0.85 * container * np.sqrt(rng.uniform(0, 1, n))
+    x = np.column_stack([rad * np.cos(theta), rad * np.sin(theta)])
+    return x, radii * scale, container
+
+
+def _ring_start(n, radius, disk_radius, container):
+    """``n`` equal disks with centres evenly spaced on a circle."""
+    theta = 2 * math.pi * np.arange(n) / n
+    x = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    return x, np.full(n, disk_radius), container
+
+
+def _packing_digest(net):
+    h = hashlib.sha256()
+    h.update(net.positions.tobytes())
+    h.update(repr(net.edges).encode())
+    h.update(net.fixed.tobytes())
+    h.update(json.dumps(net.metadata, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestRelaxDisksMatchesDenseSweep:
+    def assert_same_sweeps(self, start, sweeps):
+        x, radii, container = start
+        ref_x = x.copy()
+        ref_worst = _reference_relax_disks(ref_x, radii, container, sweeps)
+        worst = networks._relax_disks(x, radii, container, sweeps)
+        assert np.array_equal(x, ref_x)
+        assert worst == ref_worst
+
+    @pytest.mark.parametrize("sweeps", [1, 300, 2000])
+    @pytest.mark.parametrize("scale", [0.55, 0.8, 1.0])
+    def test_random_48_disk_start(self, scale, sweeps):
+        self.assert_same_sweeps(_random_start(48, scale), sweeps)
+
+    def test_no_overlapping_pair(self):
+        # small disks far apart, every one pressed into the wall
+        x, radii, container = _ring_start(12, 3.0, 0.2, 3.1)
+        gap = np.linalg.norm(x[1] - x[0]) - 2 * 0.2
+        assert gap > 0 and 3.0 + 0.2 > container
+        self.assert_same_sweeps((x, radii, container), 300)
+
+    def test_every_disk_pressed_against_the_wall(self):
+        # neighbours on the ring overlap too
+        self.assert_same_sweeps(_ring_start(12, 2.2, 0.6, 2.2), 300)
+
+    def test_three_disks(self):
+        self.assert_same_sweeps(_random_start(3, 1.0), 300)
+
+
+class TestPackingDigests:
+    # SHA-256 over positions, edges, fixed and metadata, recorded from the
+    # dense sweep in ``_reference_relax_disks``
+    @pytest.mark.parametrize("seed, n_disks, dilution, target, digest", [
+        (2, 40, None, 18,
+         "8be9198ae3b69a6bb0accb892590e6d2437f04b262aa72d4d3a34d636c4cabb2"),
+        (2, 40, 1.0, None,
+         "e20a23108411e69b8e67ee0492cac2c1b92deca4392529b5c59a3ca6e7003633"),
+        (3, 36, 1.0, None,
+         "755d8a0f5b37c82271706dc9314e94977813d2d8541f27049121879737637373"),
+        (5, 36, None, 18,
+         "6b2e309e1a6117c30594a57342e9d1bb70ba35f49e8e0c5a51899d2ba535492e"),
+        (1, 48, None, 18,
+         "3ae3c4fb99f8171f24ce9f15871ee9c9692c243d711c0af378f3c128a43a73c5"),
+    ])
+    def test_packing_is_unchanged(self, seed, n_disks, dilution, target, digest):
+        spec = networks.GeneratorSpec(kind="bidisperse_packing", seed=seed,
+                                      n_disks=n_disks,
+                                      dilution_fraction=dilution,
+                                      target_dof=target)
+        assert _packing_digest(networks.generate_bidisperse_packing(spec)) == digest
+
+
+class TestPackingFailures:
+    SPEC = networks.GeneratorSpec(kind="bidisperse_packing", seed=7, n_disks=16)
+
+    def test_residual_overlap_names_seed_scale_and_budget(self, monkeypatch):
+        monkeypatch.setattr(networks, "_relax_disks",
+                            lambda x, radii, container_radius, sweeps: 0.5)
+        scale = 0.55
+        for _ in range(60):
+            scale *= 0.998
+        with pytest.raises(PackingNotConverged) as info:
+            networks.generate_bidisperse_packing(self.SPEC)
+        assert str(info.value) == (
+            f"seed 7: residual overlap 0.5 at disk scale {scale:.4f} "
+            f"after 60 descents of 600 sweeps")
+
+    def test_final_polish_names_seed_scale_and_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            networks, "_relax_disks",
+            lambda x, radii, container_radius, sweeps: 0.5 if sweeps == 2000 else 0.0)
+        with pytest.raises(PackingNotConverged) as info:
+            networks.generate_bidisperse_packing(self.SPEC)
+        assert str(info.value) == ("seed 7: final polish left overlap 0.5 at "
+                                   "disk scale 1.0000 after 2000 sweeps")
+
+    def test_missed_target_names_last_draw(self, monkeypatch):
+        spec = networks.GeneratorSpec(kind="bidisperse_packing", seed=0,
+                                      n_disks=16, target_dof=3)
+        full = networks.generate_bidisperse_packing(networks.GeneratorSpec(
+            kind="bidisperse_packing", seed=0, n_disks=16,
+            dilution_fraction=1.0, target_dof=None))
+        interior = [e for e in full.edges
+                    if not (full.fixed[e.a] and full.fixed[e.b])]
+        # one DoF short on every draw: each redraw asks for one more removal
+        # until the count is clipped at all but one interior edge
+        monkeypatch.setattr(rigidity, "dof", lambda R: 2)
+        with pytest.raises(PackingNotConverged) as info:
+            networks.generate_bidisperse_packing(spec)
+        assert str(info.value) == (
+            f"seed 0: could not reach target DoF 3 in 400 draws of edge "
+            f"removals; the last removed {len(interior) - 1} edges and left DoF 2")
 
 
 class TestFixtures:
