@@ -18,13 +18,21 @@ import numpy as np
 
 from . import (control, experiments, loadpredict, multiscale, networks,
                nullspace, render, rigidify, rigidity, springsim)
-from .errors import FloppyNetError
+from .errors import FloppyNetError, SchemaError
 
 
 def _write_json(data, path):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path, what):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _load_network(args) -> networks.Network:
@@ -67,19 +75,31 @@ def cmd_decompose(args) -> None:
     _write_json(data, args.out)
 
 
+def _load_task(path, net: networks.Network, seed: int) -> control.ControlTask:
+    """The task spec at ``path`` on ``net``; a malformed spec is a SchemaError."""
+    spec = _read_json(path, "task")
+    if not isinstance(spec, dict) or not {"effectors", "target"} <= spec.keys():
+        raise SchemaError(f"task {path} needs 'effectors' and 'target'")
+    try:
+        effectors = [int(e) for e in spec["effectors"]]
+        for e in effectors:
+            if not 0 <= e < net.n_nodes:
+                raise ValueError(f"effector {e} is not a node of the network")
+        return control.ControlTask(
+            net, effectors=effectors,
+            target=np.asarray(spec["target"], float),
+            tolerance=float(spec.get("tolerance", 0.05)),
+            max_steps=int(spec.get("max_steps", 200)),
+            step_size=spec.get("step_size"),
+            basis_method=spec.get("basis_method", "SND"),
+            seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"task {path}: {exc}") from exc
+
+
 def cmd_control(args) -> None:
     net = _load_network(args)
-    with open(args.task) as fh:
-        spec = json.load(fh)
-    task = control.ControlTask(
-        net, effectors=[int(e) for e in spec["effectors"]],
-        target=np.asarray(spec["target"], float),
-        tolerance=float(spec.get("tolerance", 0.05)),
-        max_steps=int(spec.get("max_steps", 200)),
-        step_size=spec.get("step_size"),
-        basis_method=spec.get("basis_method", "SND"),
-        seed=args.seed)
-    trace = control.run_task(task)
+    trace = control.run_task(_load_task(args.task, net, args.seed))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mode_id", "activation", "distance", "energy"])
@@ -138,8 +158,29 @@ def cmd_rigidify(args) -> None:
             writer.writerow([k, link[0], link[1], count, "%.12g" % g])
 
 
+def _read_extensions(path) -> dict[tuple[int, int], float]:
+    """Extensions by edge, from the ``edge_a,edge_b,extension`` columns of a CSV."""
+    columns = ("edge_a", "edge_b", "extension")
+    extensions = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaError(f"extensions {path} lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                key = (int(row["edge_a"]), int(row["edge_b"]))
+                extensions[tuple(sorted(key))] = float(row["extension"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"extensions {path} line {reader.line_num}: {exc}") from exc
+    return extensions
+
+
 def cmd_predict(args) -> None:
     net = _load_network(args)
+    # read the extensions first, so a bad file writes nothing
+    extensions = _read_extensions(args.extensions) if args.extensions else None
     gmap = loadpredict.globality(net, m=args.m, base_seed=args.seed)
     predicted = loadpredict.predict_loaded_edges(net, gmap, t=args.t,
                                                  mark_all_ties=args.all_ties)
@@ -151,12 +192,7 @@ def cmd_predict(args) -> None:
         "params": {"t": args.t, "m": args.m, "seed": args.seed},
     }
     _write_json(data, args.out)
-    if args.extensions:
-        extensions = {}
-        with open(args.extensions, newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (int(row["edge_a"]), int(row["edge_b"]))
-                extensions[tuple(sorted(key))] = float(row["extension"])
+    if extensions is not None:
         grid = sorted({abs(v) for v in extensions.values()})
         curve, best_e, best_eta = loadpredict.threshold_sweep(
             predicted, extensions, grid, args.t)
@@ -173,28 +209,27 @@ def cmd_render(args) -> None:
     kwargs = {}
     overlay = args.overlay
     if overlay.startswith("mode:"):
-        with open(args.basis) as fh:
-            basis = json.load(fh)
-        index = int(overlay.split(":", 1)[1])
+        basis = _read_json(args.basis, "basis")
         runs = basis.get("runs")
         modes = (runs[0] if runs else basis)["modes"]
+        index = overlay.split(":", 1)[1]
+        if not index.isdigit() or int(index) >= len(modes):
+            raise SchemaError(f"overlay {overlay}: the basis holds modes "
+                              f"0 to {len(modes) - 1}")
         v = np.zeros(net.n_coords)
-        for coord, value in modes[index]["entries"]:
+        for coord, value in modes[int(index)]["entries"]:
             v[int(coord)] = value
         kwargs["mode_vector"] = v
     elif overlay == "globality":
-        with open(args.prediction) as fh:
-            pred = json.load(fh)
+        pred = _read_json(args.prediction, "prediction")
         kwargs["node_values"] = {int(k): float(v)
                                  for k, v in pred["globality"].items()}
     elif overlay == "extensions":
-        with open(args.sim) as fh:
-            sim = json.load(fh)
+        sim = _read_json(args.sim, "simulation")
         kwargs["edge_values"] = {(r["a"], r["b"]): r["scaled_extension"]
                                  for r in sim["per_edge"]}
     elif overlay == "prediction":
-        with open(args.prediction) as fh:
-            pred = json.load(fh)
+        pred = _read_json(args.prediction, "prediction")
         kwargs["marked_edges"] = {tuple(e) for e in pred["predicted_edges"]}
     elif overlay != "none":
         raise FloppyNetError(f"unknown overlay {overlay!r}")

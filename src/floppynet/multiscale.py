@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from . import nullspace, rigidity
@@ -40,11 +39,13 @@ class HingeDecomposition:
     articulation_nodes: set[int]
 
 
-def _bond_graph(network: Network) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(network.n_nodes))
-    g.add_edges_from((e.a, e.b) for e in network.edges)
-    return g
+def _neighbours(network: Network) -> list[list[int]]:
+    """Neighbour lists of the bond graph, in edge order."""
+    adjacency: list[list[int]] = [[] for _ in range(network.n_nodes)]
+    for a, b, _ in network.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return adjacency
 
 
 def find_hinges(network: Network) -> HingeDecomposition:
@@ -52,16 +53,62 @@ def find_hinges(network: Network) -> HingeDecomposition:
 
     Components cover every edge exactly once; nodes lying in two or more
     components are the articulation (hinge) nodes.  Isolated nodes belong to
-    no component.
+    no component.  One depth-first pass (Hopcroft & Tarjan, CACM 16(6), 1973)
+    finds both, with explicit node and edge stacks in place of recursion:
+    when a child's subtree reaches back no higher than its parent
+    (``low[child] >= disc[parent]``), the edges pushed since the tree edge
+    into that child form one component, and the parent is a hinge unless it
+    is a root with a single child.  Edges within a component and the
+    components themselves are returned sorted.
     """
-    g = _bond_graph(network)
+    adjacency = _neighbours(network)
+    disc = [0] * len(adjacency)  # discovery order from 1; 0 is unvisited
+    low = [0] * len(adjacency)
     comps = []
-    for edge_set in nx.biconnected_component_edges(g):
-        edges = tuple(sorted(tuple(sorted(e)) for e in edge_set))
-        nodes = tuple(sorted({v for e in edges for v in e}))
-        comps.append(Component(nodes, edges))
+    articulation = set()
+    clock = 0
+    for root in range(len(adjacency)):
+        if disc[root] or not adjacency[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        root_children = 0
+        edges: list[tuple[int, int]] = []
+        # frames: node, parent, unread neighbours, edge-stack height
+        # before the tree edge into the node
+        stack = [(root, -1, iter(adjacency[root]), 0)]
+        while stack:
+            u, parent, rest, cut = stack[-1]
+            for w in rest:
+                if w == parent:
+                    continue
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, u, iter(adjacency[w]), len(edges)))
+                    edges.append((u, w))
+                    break
+                if disc[w] < disc[u]:  # back edge to an ancestor
+                    low[u] = min(low[u], disc[w])
+                    edges.append((u, w))
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    if parent == root:
+                        root_children += 1
+                    else:
+                        articulation.add(parent)
+                    comp = sorted((a, b) if a < b else (b, a) for a, b in edges[cut:])
+                    del edges[cut:]
+                    nodes = tuple(sorted({v for e in comp for v in e}))
+                    comps.append(Component(nodes, tuple(comp)))
+        if root_children >= 2:
+            articulation.add(root)
     comps.sort(key=lambda c: (c.nodes[0], len(c.nodes), c.nodes))
-    return HingeDecomposition(comps, set(nx.articulation_points(g)))
+    return HingeDecomposition(comps, articulation)
 
 
 def _rotation_about(network: Network, center: int, section) -> np.ndarray:
@@ -135,14 +182,14 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     """
     R = rigidity.build(network)
     total = rigidity.dof(R)
-    g = _bond_graph(network)
+    adjacency = _neighbours(network)
     decomp = find_hinges(network)
 
     candidates: list[Mode] = []
 
     # free-floating isolated nodes move one coordinate at a time
-    for u in sorted(nx.isolates(g)):
-        if network.fixed[u]:
+    for u in range(network.n_nodes):
+        if adjacency[u] or network.fixed[u]:
             continue
         for axis in (0, 1):
             v = np.zeros(network.n_coords)
@@ -152,10 +199,9 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     # one rotation candidate per hinge; fixed nodes act as hinges to ground
     hinge_nodes = sorted(decomp.articulation_nodes
                          | set(np.flatnonzero(network.fixed)))
-    adjacency = [list(g[u]) for u in range(network.n_nodes)]
     fixed = network.fixed.tolist()
     for hinge in hinge_nodes:
-        if g.degree(hinge) == 0:
+        if not adjacency[hinge]:
             continue
         section = _distal_section(adjacency, hinge, fixed)
         if not section:

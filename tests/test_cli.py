@@ -122,14 +122,16 @@ class TestDecompose:
         assert len(data["modes"]) == 3
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the participation t-test, which imports it itself
+@pytest.mark.parametrize("package", ["scipy", "networkx"])
+def test_import_loads_no_scipy(package):
+    # scipy serves only the participation t-test, which imports it itself;
+    # networkx serves only the tests, as the oracle of the hinge search
     src = os.path.dirname(os.path.dirname(floppynet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, floppynet, floppynet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
@@ -154,6 +156,26 @@ class TestControlCommand:
         assert len(lines) > 1
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["success"] is True
+
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("effectors: [3, 4]", id="not-json"),
+        pytest.param('{"target": [1.0, 2.2]}', id="no-effectors"),
+        pytest.param('{"effectors": [3, 4]}', id="no-target"),
+        pytest.param("[3, 4]", id="not-an-object"),
+        pytest.param('{"effectors": [3, 5], "target": [1.0, 2.2]}', id="out-of-range"),
+        pytest.param('{"effectors": [-1], "target": [1.0, 2.2]}', id="negative"),
+        pytest.param('{"effectors": [0], "target": [1.0, 2.2]}', id="fixed-node"),
+        pytest.param('{"effectors": ["x"], "target": [1.0, 2.2]}', id="not-an-id"),
+    ])
+    def test_malformed_task_is_a_schema_violation(self, tmp_path, capsys, text):
+        task = tmp_path / "task.json"
+        task.write_text(text)
+        out = tmp_path / "trace.csv"
+        assert run(["control", "--fixture", "robot_arm", "--task", task,
+                    "--out", out]) == 1
+        assert "error [schema-violation]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [task]
 
 
 class TestSimulateCommand:
@@ -191,6 +213,19 @@ class TestPredictCommand:
         assert scores[0] == "e,eta"
         assert len(scores) > 2
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("edge_a,edge_b\n0,1\n", id="no-extension-column"),
+        pytest.param("edge_a,edge_b,extension\n0,1,wide\n", id="not-a-number"),
+    ])
+    def test_bad_extensions_write_nothing(self, tmp_path, capsys, text):
+        ext = tmp_path / "ext.csv"
+        ext.write_text(text)
+        out = tmp_path / "pred.json"
+        assert run(["predict", "--fixture", "robot_arm", "--m", 2,
+                    "--extensions", ext, "--out", out]) == 1
+        assert "error [schema-violation]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [ext]
+
 
 class TestRenderCommand:
     def test_mode_overlay(self, tmp_path):
@@ -205,6 +240,17 @@ class TestRenderCommand:
         assert "<svg" in svg and "</svg>" in svg
         assert svg.count("<circle") == 4       # free nodes
         assert svg.count("<rect") >= 1         # background + fixed node
+
+    @pytest.mark.parametrize("k", ["4", "-1", "x"])
+    def test_mode_past_the_basis(self, tmp_path, capsys, k):
+        basis = tmp_path / "basis.json"
+        run(["decompose", "--fixture", "robot_arm", "--method", "snd",
+             "--out", basis])
+        out = tmp_path / "arm.svg"
+        assert run(["render", "--fixture", "robot_arm", "--overlay", f"mode:{k}",
+                    "--basis", basis, "--out", out]) == 1
+        assert "error [schema-violation]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_overlay(self, tmp_path):
         assert run(["render", "--fixture", "robot_arm", "--overlay", "zorp",

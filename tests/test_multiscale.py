@@ -1,8 +1,107 @@
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from floppynet import multiscale, networks, nullspace, rigidity
+from floppynet import experiments, multiscale, networks, nullspace, rigidity
+from floppynet.networks import GeneratorSpec
+
+
+def _lattice(size, dilution, seed):
+    return networks.generate_triangular(GeneratorSpec(
+        kind="triangular_lattice", dimensions=(size, size),
+        dilution_fraction=dilution, seed=seed, boundary="fixed_rows"))
+
+
+def _panel(k):
+    """The benchmark's ``decompose`` participation panel, lattice ``k``."""
+    return _lattice((25, 15, 15, 15, 15)[k], 0.6, k)
+
+
+def _networkx_hinges(network):
+    """The hinge decomposition computed by networkx, sorted as find_hinges sorts."""
+    g = nx.Graph()
+    g.add_nodes_from(range(network.n_nodes))
+    g.add_edges_from((e.a, e.b) for e in network.edges)
+    comps = []
+    for edge_set in nx.biconnected_component_edges(g):
+        edges = tuple(sorted(tuple(sorted(e)) for e in edge_set))
+        nodes = tuple(sorted({v for e in edges for v in e}))
+        comps.append(multiscale.Component(nodes, edges))
+    comps.sort(key=lambda c: (c.nodes[0], len(c.nodes), c.nodes))
+    return multiscale.HingeDecomposition(comps, set(nx.articulation_points(g)))
+
+
+def _graph(n_nodes, edges):
+    """A network over ``n_nodes`` nodes on a line, every rest length 1."""
+    positions = [(float(u), 0.0) for u in range(n_nodes)]
+    return networks.build_network(positions, [(a, b, 1.0) for a, b in edges])
+
+
+def _random_lattices():
+    rng = np.random.default_rng(2024)
+    return [_lattice(int(rng.integers(4, 12)), float(rng.uniform(0.3, 0.8)),
+                     int(rng.integers(2 ** 31))) for _ in range(30)]
+
+
+class TestFindHingesMatchesNetworkx:
+    @pytest.mark.parametrize("name", ["robot_arm", "molecule", "lattice_4x4",
+                                      "hinged", "reaching"])
+    def test_fixtures(self, name):
+        net = _pinned_network(name)
+        assert multiscale.find_hinges(net) == _networkx_hinges(net)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_panel_lattices(self, k):
+        net = _panel(k)
+        assert multiscale.find_hinges(net) == _networkx_hinges(net)
+
+    def test_random_lattices(self):
+        nets = _random_lattices()
+        assert any(multiscale.find_hinges(n).articulation_nodes for n in nets)
+        for net in nets:
+            assert multiscale.find_hinges(net) == _networkx_hinges(net)
+
+    def test_packing(self):
+        net = networks.generate_bidisperse_packing(GeneratorSpec(
+            kind="bidisperse_packing", seed=1, n_disks=48, target_dof=18))
+        assert multiscale.find_hinges(net) == _networkx_hinges(net)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)), max_size=60))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, graph):
+        n, pairs = graph
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        net = _graph(n, edges)
+        assert multiscale.find_hinges(net) == _networkx_hinges(net)
+
+    @pytest.mark.parametrize("n,edges,articulation", [
+        (3, [], set()),                                            # no edges
+        (2, [(0, 1)], set()),                                      # one edge
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], {0}),                # star
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], set()),      # cycle
+        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], {2}),  # bowtie
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], set()),  # two triangles
+        (7, [(1, 2), (2, 3), (3, 1), (3, 4), (5, 6)], {3}),        # isolated node 0
+    ])
+    def test_named_graphs(self, n, edges, articulation):
+        net = _graph(n, edges)
+        decomp = multiscale.find_hinges(net)
+        assert decomp == _networkx_hinges(net)
+        assert decomp.articulation_nodes == articulation
+
+    def test_long_path_needs_no_recursion(self):
+        n = 5000
+        net = _graph(n, [(u, u + 1) for u in range(n - 1)])
+        decomp = multiscale.find_hinges(net)
+        assert decomp.articulation_nodes == set(range(1, n - 1))
+        assert [c.edges for c in decomp.components] == [((u, u + 1),)
+                                                        for u in range(n - 1)]
+        assert decomp == _networkx_hinges(net)
 
 
 class TestFindHinges:
@@ -120,7 +219,9 @@ class TestMultiscaleBasis:
 
 def _reference_section(network, hinge):
     """The side search spelled out with networkx components."""
-    g = multiscale._bond_graph(network)
+    g = nx.Graph()
+    g.add_nodes_from(range(network.n_nodes))
+    g.add_edges_from((e.a, e.b) for e in network.edges)
     sides = [sorted(c) for c in nx.connected_components(
         g.subgraph([u for u in g.nodes if u != hinge]))]
     unfixed = [s for s in sides if not any(network.fixed[u] for u in s)]
@@ -130,15 +231,65 @@ def _reference_section(network, hinge):
 @pytest.mark.parametrize("size,dilution,seed", [(7, 0.6, 0), (9, 0.7, 3),
                                                 (11, 0.5, 5)])
 def test_distal_section_matches_component_reference(size, dilution, seed):
-    net = networks.generate_triangular(networks.GeneratorSpec(
-        kind="triangular_lattice", dimensions=(size, size),
-        dilution_fraction=dilution, seed=seed, boundary="fixed_rows"))
-    g = multiscale._bond_graph(net)
-    adjacency = [list(g[u]) for u in range(net.n_nodes)]
+    net = _lattice(size, dilution, seed)
+    adjacency = [[] for _ in range(net.n_nodes)]
+    for e in net.edges:
+        adjacency[e.a].append(e.b)
+        adjacency[e.b].append(e.a)
     hinges = [h for h in sorted(multiscale.find_hinges(net).articulation_nodes
                                 | set(np.flatnonzero(net.fixed)))
-              if g.degree(h)]
+              if adjacency[h]]
     assert hinges
     for h in hinges:
         assert (multiscale._distal_section(adjacency, h, net.fixed.tolist())
                 == _reference_section(net, h))
+
+
+# multiscale_basis(seed=0) then (seed=5), hashed by _basis_digest; recorded
+# from the networkx-based hinge search that find_hinges replaced
+PINNED_BASES = {
+    "robot_arm": "9a5e742ade8fa55ad00d004a7bd817e34ce1a0a3301d149915c0b19b6e1bdaed",
+    "molecule": "9f92e874a27991822b725e4021f661a8b69856f1ed825856b9347065d4854de3",
+    "lattice_4x4": "fc372c48edc68c2aad86398abdb7f42eb5829890f53ec83f33fec4898813c7d6",
+    "hinged": "ceb1d882ee7cdce2d1e37940974e7930fe2d38ed11bc4cbd7f0e54726bc546fa",
+    "reaching": "6795a00aa7baaff1b6c400b5ae6e7fa0ca93da9dc2243441de3bd4cc0150bca3",
+    "panel0": "dc5304228c169d97b88a0d2ca1c855c6ccff8d84278e678d83060b0ac59d71b8",
+    "panel1": "b93c2e9764cee2473273a3cca5a162a160b4ca2917ac71d258245608b155021d",
+    "panel2": "10963138542853649b0888cd986553c59813256e50e12bcfa0f9a9b12150c1f6",
+    "panel3": "87bd6a2c46459f0ecfa60f283c198b79fb0c09a49c3b4723a38a3320f68ee1e3",
+    "panel4": "59219d5aaf4401e647cfcefb6d59b6da20f69918c58b6558c58414517230f467",
+    "arm0": "32b9c39114ba1ff351a469c470182ba1d8ad805159b6a6b3cf243e393c9f2c3f",
+    "arm1": "e6f9db3f943396eb881ad546a1fb5d4f71e14a55c722a089afb2d1febf6400f3",
+    "arm2": "a36e699ce06b8d6920a1021f60ea6806e7032304b3b72e46edf21cd6de6c7ca8",
+}
+
+ARM_POSES = [(0.7, 1.3), (1.9, -1.6), (2.4, 1.1)]
+
+
+def _pinned_network(name):
+    if name.startswith("panel"):
+        return _panel(int(name[5:]))
+    if name.startswith("arm"):
+        return networks.make_robot_arm(*ARM_POSES[int(name[3:])])
+    return {"robot_arm": lambda: networks.fixture("robot_arm"),
+            "molecule": lambda: networks.fixture("molecule_fixture"),
+            "lattice_4x4": networks.lattice_fixture_4x4,
+            "hinged": networks.hinged_fixture,
+            "reaching": experiments.reaching_network}[name]()
+
+
+def _basis_digest(network):
+    h = hashlib.sha256()
+    for seed in (0, 5):
+        basis = multiscale.multiscale_basis(network, seed=seed)
+        h.update(repr((basis.method, basis.seed)).encode())
+        for m in basis.modes:
+            h.update(m.vector.tobytes())
+            h.update(repr(([int(i) for i in m.support], m.size_s,
+                           [int(u) for u in m.node_support], m.tag)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_multiscale_basis_bytes_pinned(name):
+    assert _basis_digest(_pinned_network(name)) == PINNED_BASES[name]
