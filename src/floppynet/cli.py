@@ -174,12 +174,14 @@ def _read_extensions(path) -> dict[tuple[int, int], float]:
             except (TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"extensions {path} line {reader.line_num}: {exc}") from exc
+    if not extensions:
+        raise SchemaError(f"extensions {path} holds no rows")
     return extensions
 
 
 def cmd_predict(args) -> None:
     net = _load_network(args)
-    # read the extensions first, so a bad file writes nothing
+    # read the extensions first, so a malformed file writes nothing
     extensions = _read_extensions(args.extensions) if args.extensions else None
     gmap = loadpredict.globality(net, m=args.m, base_seed=args.seed)
     predicted = loadpredict.predict_loaded_edges(net, gmap, t=args.t,
@@ -191,11 +193,14 @@ def cmd_predict(args) -> None:
         "rigid_nodes": sorted(gmap.rigid_nodes),
         "params": {"t": args.t, "m": args.m, "seed": args.seed},
     }
-    _write_json(data, args.out)
     if extensions is not None:
+        # scored before anything is written, so measurements that miss a
+        # predicted edge write nothing either
         grid = sorted({abs(v) for v in extensions.values()})
         curve, best_e, best_eta = loadpredict.threshold_sweep(
             predicted, extensions, grid, args.t)
+    _write_json(data, args.out)
+    if extensions is not None:
         with open(args.out + ".scores.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["e", "eta"])

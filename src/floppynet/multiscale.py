@@ -5,6 +5,10 @@ rotate rigidly with respect to the rest.  Emitting those whole-section
 rotations first and then decomposing each biconnected component with its
 articulation nodes anchored yields a basis whose hierarchy mirrors the
 graph structure.
+
+The bond graph is a plain list of neighbour lists.  The components and
+hinges come from one iterative Hopcroft–Tarjan depth-first pass over it,
+and the isolated-node loop and the side search read the same lists.
 """
 
 from __future__ import annotations

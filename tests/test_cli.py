@@ -157,7 +157,6 @@ class TestControlCommand:
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["success"] is True
 
-
     @pytest.mark.parametrize("text", [
         pytest.param("effectors: [3, 4]", id="not-json"),
         pytest.param('{"target": [1.0, 2.2]}', id="no-effectors"),
@@ -216,6 +215,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("text", [
         pytest.param("edge_a,edge_b\n0,1\n", id="no-extension-column"),
         pytest.param("edge_a,edge_b,extension\n0,1,wide\n", id="not-a-number"),
+        pytest.param("edge_a,edge_b,extension\n", id="no-rows"),
     ])
     def test_bad_extensions_write_nothing(self, tmp_path, capsys, text):
         ext = tmp_path / "ext.csv"
@@ -225,6 +225,19 @@ class TestPredictCommand:
                     "--extensions", ext, "--out", out]) == 1
         assert "error [schema-violation]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [ext]
+
+    def test_extensions_missing_a_predicted_edge_write_nothing(self, tmp_path, capsys):
+        netfile = tmp_path / "net.json"
+        net = networks.generate_bidisperse_packing(networks.GeneratorSpec(
+            kind="bidisperse_packing", seed=1, n_disks=36, target_dof=12))
+        networks.save(net, netfile)
+        ext = tmp_path / "ext.csv"
+        ext.write_text(f"edge_a,edge_b,extension\n{net.edges[0].a},{net.edges[0].b},0.1\n")
+        out = tmp_path / "pred.json"
+        assert run(["predict", "--network", netfile, "--m", 10,
+                    "--extensions", ext, "--out", out]) == 1
+        assert "error [edge-mismatch]" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [ext, netfile]
 
 
 class TestRenderCommand:

@@ -20,6 +20,22 @@ def _panel(k):
     return _lattice((25, 15, 15, 15, 15)[k], 0.6, k)
 
 
+ARM_POSES = [(0.7, 1.3), (1.9, -1.6), (2.4, 1.1)]
+
+
+def _pinned_network(name):
+    """A fixture, a panel lattice (``panel<k>``) or an arm pose (``arm<k>``) by name."""
+    if name.startswith("panel"):
+        return _panel(int(name[5:]))
+    if name.startswith("arm"):
+        return networks.make_robot_arm(*ARM_POSES[int(name[3:])])
+    return {"robot_arm": lambda: networks.fixture("robot_arm"),
+            "molecule": lambda: networks.fixture("molecule_fixture"),
+            "lattice_4x4": networks.lattice_fixture_4x4,
+            "hinged": networks.hinged_fixture,
+            "reaching": experiments.reaching_network}[name]()
+
+
 def _networkx_hinges(network):
     """The hinge decomposition computed by networkx, sorted as find_hinges sorts."""
     g = nx.Graph()
@@ -262,20 +278,6 @@ PINNED_BASES = {
     "arm1": "e6f9db3f943396eb881ad546a1fb5d4f71e14a55c722a089afb2d1febf6400f3",
     "arm2": "a36e699ce06b8d6920a1021f60ea6806e7032304b3b72e46edf21cd6de6c7ca8",
 }
-
-ARM_POSES = [(0.7, 1.3), (1.9, -1.6), (2.4, 1.1)]
-
-
-def _pinned_network(name):
-    if name.startswith("panel"):
-        return _panel(int(name[5:]))
-    if name.startswith("arm"):
-        return networks.make_robot_arm(*ARM_POSES[int(name[3:])])
-    return {"robot_arm": lambda: networks.fixture("robot_arm"),
-            "molecule": lambda: networks.fixture("molecule_fixture"),
-            "lattice_4x4": networks.lattice_fixture_4x4,
-            "hinged": networks.hinged_fixture,
-            "reaching": experiments.reaching_network}[name]()
 
 
 def _basis_digest(network):
