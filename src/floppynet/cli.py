@@ -158,9 +158,13 @@ def cmd_rigidify(args) -> None:
             writer.writerow([k, link[0], link[1], count, "%.12g" % g])
 
 
-def _read_extensions(path) -> dict[tuple[int, int], float]:
-    """Extensions by edge, from the ``edge_a,edge_b,extension`` columns of a CSV."""
+def _read_extensions(path, net: networks.Network) -> dict[tuple[int, int], float]:
+    """Extensions by edge, from the ``edge_a,edge_b,extension`` columns of a CSV.
+
+    A row naming a pair that is not an edge of ``net`` is a SchemaError.
+    """
     columns = ("edge_a", "edge_b", "extension")
+    edges = net.edge_set()
     extensions = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -174,6 +178,9 @@ def _read_extensions(path) -> dict[tuple[int, int], float]:
             except (TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"extensions {path} line {reader.line_num}: {exc}") from exc
+            if tuple(sorted(key)) not in edges:
+                raise SchemaError(f"extensions {path} line {reader.line_num}: "
+                                  f"{key} is not an edge of the network")
     if not extensions:
         raise SchemaError(f"extensions {path} holds no rows")
     return extensions
@@ -182,7 +189,7 @@ def _read_extensions(path) -> dict[tuple[int, int], float]:
 def cmd_predict(args) -> None:
     net = _load_network(args)
     # read the extensions first, so a malformed file writes nothing
-    extensions = _read_extensions(args.extensions) if args.extensions else None
+    extensions = _read_extensions(args.extensions, net) if args.extensions else None
     gmap = loadpredict.globality(net, m=args.m, base_seed=args.seed)
     predicted = loadpredict.predict_loaded_edges(net, gmap, t=args.t,
                                                  mark_all_ties=args.all_ties)
@@ -354,11 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The file option each ``render`` overlay reads (``mode:K`` reads ``basis``).
+_OVERLAY_INPUTS = {"globality": "prediction", "prediction": "prediction",
+                   "extensions": "sim"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_decompose and args.ensemble > 1 and args.method != "snd":
         parser.error(f"decompose --ensemble runs SND only, not --method {args.method}")
+    if args.func is cmd_render:
+        option = ("basis" if args.overlay.startswith("mode:")
+                  else _OVERLAY_INPUTS.get(args.overlay))
+        if option is not None and getattr(args, option) is None:
+            parser.error(f"render --overlay {args.overlay} needs --{option}")
     try:
         args.func(args)
     except FloppyNetError as exc:

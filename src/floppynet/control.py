@@ -41,6 +41,9 @@ class ControlTask:
 
     def __post_init__(self):
         self.target = np.asarray(self.target, float)
+        if self.target.shape != (2,) or not np.isfinite(self.target).all():
+            raise ValueError(f"target must be a finite point (x, y), not "
+                             f"{self.target.tolist()}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if not self.effectors:

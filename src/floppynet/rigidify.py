@@ -3,7 +3,8 @@
 The MS rule freezes the largest floppy mode: decompose, take the mode with
 the most nonzero entries, find the node it displaces most, and tie that node
 to one of its nearest unused lattice neighbours.  ``tune`` applies the rule
-(or a random baseline) link by link while tracking the shear modulus.
+(or a random baseline) link by link, then measures the shear modulus after
+every addition in one lockstep relaxation.
 """
 
 from __future__ import annotations
@@ -94,24 +95,28 @@ def ms_select_link(network: Network, seed: int = 0,
 
 def single_link_experiment(network: Network, candidates: list[tuple[int, int]],
                            config: SimConfig) -> list[tuple[tuple[int, int], float]]:
-    """Shear-modulus gain from adding each candidate link independently."""
-    base = springsim.shear_modulus(network, config).shear_modulus
-    out = []
-    for link in candidates:
-        trial = network.with_edges(list(network.edge_set()) + [link])
-        g = springsim.shear_modulus(trial, config).shear_modulus
-        out.append((tuple(link), float(g - base)))
-    return out
+    """Shear-modulus gain from adding each candidate link independently.
+
+    The network and every trial relax together in one lockstep batch.
+    """
+    trials = [network.with_edges(list(network.edge_set()) + [link])
+              for link in candidates]
+    base, *gains = springsim.shear_moduli([network] + trials, config)
+    return [(tuple(link), float(trial.shear_modulus - base.shear_modulus))
+            for link, trial in zip(candidates, gains)]
 
 
 def tune(network: Network, protocol: str, seed: int = 0,
          stop_at: int | None = None, config: SimConfig | None = None) -> TuningRun:
-    """Add links one at a time, measuring G after every addition.
+    """Add links one at a time, then measure G after every addition.
 
     ``protocol`` is ``"MS"`` or ``"random"``.  The run stops after ``stop_at``
-    additions or when every candidate link has been used.  A reduced-step
-    relaxation keeps sequential runs affordable; pass an explicit ``config``
-    for full-length measurements.
+    additions or when every candidate link has been used.  No selection reads
+    G (MS reads only the network, random only the run's generator), so the
+    whole link sequence is chosen first and the G curve is then measured in
+    one lockstep relaxation of the start network and every grown network.
+    A reduced-step relaxation keeps sequential runs affordable; pass an
+    explicit ``config`` for full-length measurements.
     """
     if protocol not in ("MS", "random"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -121,7 +126,7 @@ def tune(network: Network, protocol: str, seed: int = 0,
     net = network.copy()
     remaining = candidate_links(net)
     sequence: list[tuple[int, int]] = []
-    curve = [(net.n_edges, float(springsim.shear_modulus(net, config).shear_modulus))]
+    grown = [net]
 
     while remaining and (stop_at is None or len(sequence) < stop_at):
         if protocol == "MS":
@@ -135,6 +140,7 @@ def tune(network: Network, protocol: str, seed: int = 0,
         remaining.remove(link)
         net = net.with_edges(list(net.edge_set()) + [link])
         sequence.append(link)
-        g = float(springsim.shear_modulus(net, config).shear_modulus)
-        curve.append((net.n_edges, g))
+        grown.append(net)
+    curve = [(n.n_edges, float(r.shear_modulus))
+             for n, r in zip(grown, springsim.shear_moduli(grown, config))]
     return TuningRun(protocol, sequence, curve, seed)

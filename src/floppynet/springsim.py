@@ -4,16 +4,28 @@ Networks relax under overdamped dynamics with per-coordinate uniform noise;
 the stretching energy of the final state gives the shear modulus under the
 top-row shear protocol, and per-edge extensions under radial stretching of a
 circular boundary.  One kernel holds the spring force arithmetic: ``forces``
-wraps it, and ``relax`` calls it at every step on the network's edge arrays,
-which are built once when the network is constructed.
+wraps it, and ``relax_all`` calls it at every step on the networks' edge
+arrays, which are built once when each network is constructed.
 
-A relax step costs a few numpy calls.  The kernel gathers and scatters on
-flat ``2 * node + axis`` coordinates, so two ``bincount`` calls sum every
-(node, axis) bin over its edges in edge order.  The drift and the noise are
-added in place under the free-node mask, so fixed nodes are never written.
-The noise is drawn for a block of steps at a time from the same stream;
-``Generator.uniform`` maps the stream to the same values however the draws
-are split, so every trajectory matches a per-step draw bit for bit.
+A relax step costs a few numpy calls, and ``relax_all`` pays them once for
+a whole batch: K networks that share their node count and fixed mask step in
+lockstep, as one ``(K, n, 2)`` array whose network ``k`` owns the flat
+coordinates ``2 * (k * n + node) + axis``.  ``relax`` is a batch of one, and
+``shear_moduli`` shears a batch and relaxes it in one call.  Every member
+ends bit for bit where it would alone:
+
+- the kernel gathers and scatters on flat coordinates, so two ``bincount``
+  calls sum every (node, axis) bin over its own network's edges, in edge
+  order, and the elementwise arithmetic does not depend on the neighbours;
+- the drift and the noise are added in place under the free-node mask, so
+  fixed nodes are never written, and a member with no edges gets no drift;
+- every member draws the same noise, since they share ``config.seed`` and the
+  free-node count: one ``(n, 2)`` noise row per step is broadcast over the
+  batch.  The noise is drawn for a block of steps at a time from that
+  stream; ``Generator.uniform`` maps the stream to the same values however
+  the draws are split, so every trajectory matches a per-step draw;
+- energy, extensions, ``max_free_force`` and the noise-floor flag are taken
+  per member, on its own slice.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ def _spring_forces(x, ia, ib, rest, k_over_l0) -> np.ndarray:
     pair = (-k_over_l0 * (lengths - rest) / lengths).repeat(2) * d
     out = np.bincount(ia, weights=pair, minlength=xf.size)
     out -= np.bincount(ib, weights=pair, minlength=xf.size)
-    return out.reshape(-1, 2)
+    return out.reshape(x.shape)
 
 
 def stretching_energy(positions: np.ndarray, network: Network,
@@ -106,45 +118,75 @@ def forces(positions: np.ndarray, network: Network, config: SimConfig) -> np.nda
 
 
 def _diverged(x, free, step, config) -> IntegrationDiverged:
-    bad = int((~np.isfinite(x[free])).sum())
+    """Name the first network of the batch ``x`` with a non-finite position."""
+    k = next(k for k, xk in enumerate(x) if not np.isfinite(xk).all())
+    bad = int((~np.isfinite(x[k][free])).sum())
+    member = f"network {k} of a batch of {len(x)}: " if len(x) > 1 else ""
     return IntegrationDiverged(
-        f"positions diverged at step {step} of {config.steps} (dt={config.dt}):"
-        f" {bad} of {2 * int(free.sum())} free coordinates are non-finite")
+        f"{member}positions diverged at step {step} of {config.steps}"
+        f" (dt={config.dt}): {bad} of {2 * int(free.sum())} free coordinates"
+        " are non-finite")
 
 
 def relax(network: Network, config: SimConfig, record_energy: bool = False,
           diameter: float | None = None) -> SimResult:
-    """Run the overdamped integration; fixed nodes are held exactly.
+    """Run the overdamped integration of one network: a batch of one."""
+    return relax_all([network], config, record_energy=record_energy,
+                     diameters=None if diameter is None else [diameter])[0]
 
-    Every step moves the free nodes by ``dt`` times the force kernel, then
-    adds the noise; both adds are in place under the free-node mask.  The
-    noise comes from one ``rng.uniform`` call per block of steps, which
-    yields the same values as one call per step.  The reported energy is
-    evaluated on the final positions as-is, with no extra noise applied in
-    the measurement, and ``max_free_force`` is the largest free-node force
-    norm there (0.0 when no node is free).
+
+def relax_all(networks: list[Network], config: SimConfig,
+              diameters: list[float] | None = None,
+              record_energy: bool = False) -> list[SimResult]:
+    """Run the overdamped integration of every network in lockstep.
+
+    The networks must share their node count and fixed mask (a
+    ``ValueError`` otherwise); fixed nodes are held exactly.  Every step
+    moves the free nodes by ``dt`` times the force kernel, then adds the
+    noise; both adds are in place under the free-node mask.  The noise comes
+    from one ``rng.uniform`` call per block of steps, which yields the same
+    values as one call per step.  Each network's result equals a run of that
+    network alone, bit for bit.  The reported energy is evaluated on the
+    final positions as-is, with no extra noise applied in the measurement,
+    and ``max_free_force`` is the largest free-node force norm there (0.0
+    when no node is free).  ``diameters`` scale the extensions, one per
+    network; each defaults to that network's diameter.
     """
-    x = network.positions.copy()
-    free = ~network.fixed
+    if not networks:
+        return []
+    fixed = networks[0].fixed
+    for k, net in enumerate(networks):
+        if not np.array_equal(net.fixed, fixed):
+            raise ValueError(f"network {k} of the batch differs from network 0"
+                             " in its node count or fixed mask")
+    x = np.stack([net.positions for net in networks])
+    free = ~fixed
     free_xy = np.repeat(free[:, None], 2, axis=1)
     n_free = int(free.sum())
-    a, b, rest = network.edge_arrays()
-    ia, ib = _flat_ends(a, b)
+    arrays = [net.edge_arrays() for net in networks]
+    # network k owns flat coordinates from 2 * k * n on
+    ends = [_flat_ends(a + k * len(fixed), b + k * len(fixed))
+            for k, (a, b, _) in enumerate(arrays)]
+    ia = np.concatenate([e[0] for e in ends])
+    ib = np.concatenate([e[1] for e in ends])
+    rest = np.concatenate([r for _, _, r in arrays])
+    # a network without edges is never written by the drift, as when alone
+    moved_xy = free_xy & np.array([len(a) > 0 for a, _, _ in arrays])[:, None, None]
     k_over_l0 = config.stiffness / config.l0
     amp = config.noise_amplitude
     noisy = amp > 0 and n_free > 0
     if noisy:
-        noise = np.zeros((min(_NOISE_BLOCK, config.steps), len(x), 2))
+        noise = np.zeros((min(_NOISE_BLOCK, config.steps), len(fixed), 2))
     rng = np.random.default_rng(config.seed)
-    trace = np.empty(config.steps) if record_energy else None
+    trace = np.empty((len(networks), config.steps)) if record_energy else None
 
     # overflow during a blow-up is expected; divergence is caught explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            if len(a):
+            if len(rest):
                 drift = _spring_forces(x, ia, ib, rest, k_over_l0)
                 drift *= config.dt
-                np.add(x, drift, out=x, where=free_xy)
+                np.add(x, drift, out=x, where=moved_xy)
             if noisy:
                 row = step % _NOISE_BLOCK
                 if row == 0:
@@ -152,23 +194,29 @@ def relax(network: Network, config: SimConfig, record_energy: bool = False,
                     noise[:block, free] = rng.uniform(-amp, amp, (block, n_free, 2))
                 np.add(x, noise[row], out=x, where=free_xy)
             if record_energy:
-                trace[step] = _spring_energy(x, a, b, rest, k_over_l0)
+                for k, (a, b, r) in enumerate(arrays):
+                    trace[k, step] = _spring_energy(x[k], a, b, r, k_over_l0)
             if step % 500 == 499 and not np.isfinite(x).all():
                 raise _diverged(x, free, step + 1, config)
     if not np.isfinite(x).all():
         raise _diverged(x, free, config.steps, config)
 
-    energy = _spring_energy(x, a, b, rest, k_over_l0)
-    extension = np.linalg.norm(x[a] - x[b], axis=1) - rest
-    if diameter is None:
-        diameter = network.diameter()
-    scaled = extension / diameter if diameter > 0 else extension.copy()
-    floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * amp ** 2
     final = _spring_forces(x, ia, ib, rest, k_over_l0)
-    max_free_force = float(np.linalg.norm(final[free], axis=1).max()) if n_free else 0.0
-    return SimResult(x, energy, extension, scaled,
-                     noise_floor_flagged=bool(energy <= floor),
-                     energy_trace=trace, max_free_force=max_free_force)
+    results = []
+    for k, (net, (a, b, r)) in enumerate(zip(networks, arrays)):
+        energy = _spring_energy(x[k], a, b, r, k_over_l0)
+        extension = np.linalg.norm(x[k][a] - x[k][b], axis=1) - r
+        diameter = net.diameter() if diameters is None else diameters[k]
+        scaled = extension / diameter if diameter > 0 else extension.copy()
+        floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * amp ** 2
+        max_free_force = (float(np.linalg.norm(final[k][free], axis=1).max())
+                          if n_free else 0.0)
+        results.append(SimResult(
+            x[k], energy, extension, scaled,
+            noise_floor_flagged=bool(energy <= floor),
+            energy_trace=None if trace is None else trace[k],
+            max_free_force=max_free_force))
+    return results
 
 
 def _lattice_dims(network: Network) -> tuple[int, int]:
@@ -186,33 +234,42 @@ def _row_nodes(network: Network, row_y: float) -> np.ndarray:
 
 
 def shear_modulus(network: Network, config: SimConfig) -> SimResult:
-    """Shear the top lattice row sideways, relax, and report G = (2/A) E/g^2.
+    """Shear the top lattice row sideways, relax, and report G: a batch of one."""
+    return shear_moduli([network], config)[0]
+
+
+def shear_moduli(networks: list[Network], config: SimConfig) -> list[SimResult]:
+    """Shear every network, relax them in lockstep, and report each G = (2/A) E/g^2.
 
     Top-row nodes are displaced rightwards by ``strain`` times the lattice
     height and held there together with the bottom row; A is the undeformed
-    bounding area of the lattice.
+    bounding area of the lattice.  The sheared networks must share their node
+    count and fixed mask (see ``relax_all``).
     """
-    nx, ny = _lattice_dims(network)
-    if nx < 2 or ny < 2:
-        raise BoundaryRowsError("network has no identifiable rows")
-    y0 = float(network.positions[:, 1].min())
-    y1 = float(network.positions[:, 1].max())
-    bottom = _row_nodes(network, y0)
-    top = _row_nodes(network, y1)
-    if len(bottom) == 0 or len(top) == 0 or y1 - y0 < 0.5 * ROW_SPACING:
-        raise BoundaryRowsError("network has no identifiable top/bottom rows")
+    sheared, areas = [], []
+    for network in networks:
+        nx, ny = _lattice_dims(network)
+        if nx < 2 or ny < 2:
+            raise BoundaryRowsError("network has no identifiable rows")
+        y0 = float(network.positions[:, 1].min())
+        y1 = float(network.positions[:, 1].max())
+        bottom = _row_nodes(network, y0)
+        top = _row_nodes(network, y1)
+        if len(bottom) == 0 or len(top) == 0 or y1 - y0 < 0.5 * ROW_SPACING:
+            raise BoundaryRowsError("network has no identifiable top/bottom rows")
 
-    height = (ny - 1) * config.l0 * ROW_SPACING
-    sheared = network.copy()
-    sheared.positions[top, 0] += config.strain * height
-    sheared.fixed[top] = True
-    sheared.fixed[bottom] = True
+        height = (ny - 1) * config.l0 * ROW_SPACING
+        net = network.copy()
+        net.positions[top, 0] += config.strain * height
+        net.fixed[top] = True
+        net.fixed[bottom] = True
+        sheared.append(net)
+        areas.append((nx - 1) * config.l0 * height)
 
-    result = relax(sheared, config)
-    area = (nx - 1) * config.l0 * height
-    g = 2.0 / area * result.energy / config.strain ** 2
-    result.shear_modulus = float(g)
-    return result
+    results = relax_all(sheared, config)
+    for result, area in zip(results, areas):
+        result.shear_modulus = float(2.0 / area * result.energy / config.strain ** 2)
+    return results
 
 
 def radial_stretch(network: Network, config: SimConfig,

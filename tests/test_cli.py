@@ -166,6 +166,8 @@ class TestControlCommand:
         pytest.param('{"effectors": [-1], "target": [1.0, 2.2]}', id="negative"),
         pytest.param('{"effectors": [0], "target": [1.0, 2.2]}', id="fixed-node"),
         pytest.param('{"effectors": ["x"], "target": [1.0, 2.2]}', id="not-an-id"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2, 3.0]}',
+                     id="target-of-three"),
     ])
     def test_malformed_task_is_a_schema_violation(self, tmp_path, capsys, text):
         task = tmp_path / "task.json"
@@ -226,6 +228,19 @@ class TestPredictCommand:
         assert "error [schema-violation]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [ext]
 
+    def test_extensions_naming_no_edge_write_nothing(self, tmp_path, capsys):
+        # (0, 9) is no edge of the 5-node arm; counted, it read as max eta 1.0
+        ext = tmp_path / "ext.csv"
+        ext.write_text("edge_a,edge_b,extension\n0,9,0.1\n")
+        out = tmp_path / "pred.json"
+        assert run(["predict", "--fixture", "robot_arm", "--m", 2,
+                    "--extensions", ext, "--out", out]) == 1
+        err = capsys.readouterr()
+        assert "error [schema-violation]" in err.err
+        assert "(0, 9) is not an edge" in err.err
+        assert "max eta" not in err.out
+        assert list(tmp_path.iterdir()) == [ext]
+
     def test_extensions_missing_a_predicted_edge_write_nothing(self, tmp_path, capsys):
         netfile = tmp_path / "net.json"
         net = networks.generate_bidisperse_packing(networks.GeneratorSpec(
@@ -263,6 +278,22 @@ class TestRenderCommand:
         assert run(["render", "--fixture", "robot_arm", "--overlay", f"mode:{k}",
                     "--basis", basis, "--out", out]) == 1
         assert "error [schema-violation]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overlay, option", [
+        ("mode:0", "--basis"),
+        ("globality", "--prediction"),
+        ("prediction", "--prediction"),
+        ("extensions", "--sim"),
+    ])
+    def test_overlay_without_its_file_is_a_usage_error(self, tmp_path, capsys,
+                                                       overlay, option):
+        out = tmp_path / "arm.svg"
+        with pytest.raises(SystemExit) as exc:
+            run(["render", "--fixture", "robot_arm", "--overlay", overlay,
+                 "--out", out])
+        assert exc.value.code == 2
+        assert f"needs {option}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_overlay(self, tmp_path):

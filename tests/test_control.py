@@ -151,6 +151,12 @@ class TestRunTask:
         with pytest.raises(ValueError):
             ControlTask(robot_arm, [0], np.zeros(2))
 
+    @pytest.mark.parametrize("target", [
+        [1.0, 2.2, 3.0], [1.0], 1.0, [[1.0, 2.2]], [1.0, np.nan], [np.inf, 2.2]])
+    def test_target_not_a_finite_point_rejected(self, robot_arm, target):
+        with pytest.raises(ValueError, match="finite point"):
+            ControlTask(robot_arm, [3, 4], target)
+
     def test_multiscale_method(self, robot_arm):
         target = np.array([1.0, 2.2])
         trace = control.run_task(ControlTask(robot_arm, [3, 4], target,

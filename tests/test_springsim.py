@@ -229,7 +229,8 @@ class TestMatchesPerStepLoop:
             kind="triangular_lattice", seed=0, **experiments.TUNING_DEFAULTS))
         cfg = SimConfig(steps=600)
         res = springsim.shear_modulus(net, cfg)
-        monkeypatch.setattr(springsim, "relax", _reference_relax)
+        monkeypatch.setattr(springsim, "relax_all", lambda nets, c, diameters=None: [
+            _reference_relax(n, c) for n in nets])
         assert_same_run(res, springsim.shear_modulus(net, cfg))
 
     def test_radial_stretch_of_a_small_packing(self, monkeypatch):
@@ -240,6 +241,145 @@ class TestMatchesPerStepLoop:
         res = springsim.radial_stretch(net, cfg)
         monkeypatch.setattr(springsim, "relax", _reference_relax)
         assert_same_run(res, springsim.radial_stretch(net, cfg))
+
+
+def assert_same_bits(res, ref):
+    """``res`` and ``ref`` agree bit for bit, signed zeros included."""
+    for field in ("positions", "per_edge_extension", "scaled_extension"):
+        assert getattr(res, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert np.float64(res.energy).tobytes() == np.float64(ref.energy).tobytes()
+    assert res.max_free_force == ref.max_free_force
+    assert res.noise_floor_flagged == ref.noise_floor_flagged
+    assert res.shear_modulus == ref.shear_modulus
+    if ref.energy_trace is None:
+        assert res.energy_trace is None
+    else:
+        assert res.energy_trace.tobytes() == ref.energy_trace.tobytes()
+
+
+def _batch_of_one_node_set():
+    """Networks on one node set: different edge counts, one with no edges.
+
+    A free node sits at x = -0.0, which a drift of +0.0 would turn into +0.0.
+    """
+    net = _disturbed_lattice()
+    x = net.positions.copy()
+    node = int(np.flatnonzero(~net.fixed)[0])
+    x[node, 0] = -0.0
+    net = net.with_positions(x)
+    edges = [(e.a, e.b) for e in net.edges]
+    return [net, net.with_edges(edges[:40]), net.with_edges([]),
+            net.with_edges(edges[::3]), net]
+
+
+class TestRelaxAll:
+    """``relax_all`` gives each network exactly what ``relax`` gives it alone."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    @pytest.mark.parametrize("steps", [1, _NOISE_BLOCK + 1, 1200])
+    def test_equals_relax_of_each_network(self, steps, noise):
+        nets = _batch_of_one_node_set()
+        cfg = SimConfig(steps=steps, noise_amplitude=noise, seed=7)
+        batch = springsim.relax_all(nets, cfg, record_energy=True)
+        assert len(batch) == len(nets)
+        for net, res in zip(nets, batch):
+            assert_same_bits(res, springsim.relax(net, cfg, record_energy=True))
+        assert batch[2].max_free_force == 0.0
+
+    def test_edgeless_member_keeps_a_signed_zero(self):
+        nets = _batch_of_one_node_set()
+        node = int(np.flatnonzero(~nets[2].fixed)[0])
+        res = springsim.relax_all(nets, SimConfig(steps=5, noise_amplitude=0.0))
+        assert np.signbit(res[2].positions[node, 0])
+
+    def test_diameters_scale_each_member(self):
+        nets = _batch_of_one_node_set()[:2]
+        cfg = SimConfig(steps=50, seed=1)
+        batch = springsim.relax_all(nets, cfg, diameters=[2.0, 5.0])
+        for net, res, diameter in zip(nets, batch, (2.0, 5.0)):
+            assert_same_bits(res, springsim.relax(net, cfg, diameter=diameter))
+
+    def test_empty_batch(self):
+        assert springsim.relax_all([], SimConfig(steps=5)) == []
+
+    def test_mismatched_fixed_masks_raise(self, lattice_4x4):
+        other = lattice_4x4.copy()
+        other.fixed[int(np.flatnonzero(~other.fixed)[0])] = True
+        with pytest.raises(ValueError, match="network 1 of the batch"):
+            springsim.relax_all([lattice_4x4, other], SimConfig(steps=5))
+
+    def test_mismatched_node_counts_raise(self, lattice_4x4, stretched_spring):
+        with pytest.raises(ValueError, match="network 1 of the batch"):
+            springsim.relax_all([lattice_4x4, stretched_spring], SimConfig(steps=5))
+
+    def test_divergence_names_the_member(self, stretched_spring):
+        at_rest = networks.build_network([(0.0, 0.0), (1.0, 0.0)], [(0, 1, 1.0)],
+                                         [True, False])
+        cfg = SimConfig(dt=5.0, steps=2000, noise_amplitude=0.0)
+        with pytest.raises(IntegrationDiverged,
+                           match=r"^network 2 of a batch of 3: positions diverged"
+                                 r" at step 500 of 2000 \(dt=5.0\): 2 of 2 free"):
+            springsim.relax_all([at_rest, at_rest, stretched_spring], cfg)
+        assert np.isfinite(springsim.relax_all([at_rest, at_rest], cfg)[1].positions).all()
+
+
+def _reference_shear_modulus(network, config, monkeypatch):
+    """Oracle: ``shear_modulus`` of one network, relaxed by the per-step loop."""
+    with monkeypatch.context() as m:
+        m.setattr(springsim, "relax_all", lambda nets, cfg, diameters=None: [
+            _reference_relax(net, cfg) for net in nets])
+        return springsim.shear_modulus(network, config).shear_modulus
+
+
+def _reference_single_link_experiment(network, candidates, config, monkeypatch):
+    """Oracle: the base and each trial sheared and relaxed one at a time."""
+    base = _reference_shear_modulus(network, config, monkeypatch)
+    out = []
+    for link in candidates:
+        trial = network.with_edges(list(network.edge_set()) + [link])
+        g = _reference_shear_modulus(trial, config, monkeypatch)
+        out.append((tuple(link), float(g - base)))
+    return out
+
+
+def _reference_tune(network, protocol, seed, stop_at, config, monkeypatch):
+    """Oracle: select a link, measure G, select the next, one network at a time."""
+    rng = np.random.default_rng(seed)
+    net = network.copy()
+    remaining = rigidify.candidate_links(net)
+    sequence = []
+    curve = [(net.n_edges, _reference_shear_modulus(net, config, monkeypatch))]
+    while remaining and len(sequence) < stop_at:
+        if protocol == "MS":
+            link = rigidify.ms_select_link(net, seed=int(rng.integers(2 ** 32)),
+                                           candidates=remaining)
+        else:
+            link = remaining[int(rng.integers(len(remaining)))]
+        remaining.remove(link)
+        net = net.with_edges(list(net.edge_set()) + [link])
+        sequence.append(link)
+        curve.append((net.n_edges, _reference_shear_modulus(net, config, monkeypatch)))
+    return sequence, curve
+
+
+class TestLockstepCallersMatchOneAtATime:
+    @pytest.mark.parametrize("seed", [0, 19])
+    def test_single_link_experiment(self, seed, monkeypatch):
+        net = experiments.single_link_instance(0.60, seed, "fixed_rows")
+        candidates = rigidify.candidate_links(net)[:5]
+        cfg = SimConfig(steps=800, seed=seed)
+        assert (rigidify.single_link_experiment(net, candidates, cfg)
+                == _reference_single_link_experiment(net, candidates, cfg,
+                                                     monkeypatch))
+
+    @pytest.mark.parametrize("protocol", ["MS", "random"])
+    def test_tune(self, protocol, monkeypatch):
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", seed=1, **experiments.TUNING_DEFAULTS))
+        cfg = SimConfig(steps=600, seed=4)
+        run = rigidify.tune(net, protocol, seed=101, stop_at=4, config=cfg)
+        assert (run.link_sequence, run.g_curve) == _reference_tune(
+            net, protocol, 101, 4, cfg, monkeypatch)
 
 
 @pytest.mark.parametrize("protocol, links, curve", [
