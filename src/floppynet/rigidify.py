@@ -101,9 +101,9 @@ def single_link_experiment(network: Network, candidates: list[tuple[int, int]],
     """
     trials = [network.with_edges(list(network.edge_set()) + [link])
               for link in candidates]
-    base, *gains = springsim.shear_moduli([network] + trials, config)
-    return [(tuple(link), float(trial.shear_modulus - base.shear_modulus))
-            for link, trial in zip(candidates, gains)]
+    base, *results = springsim.shear_moduli([network] + trials, config)
+    return [(tuple(link), float(res.shear_modulus - base.shear_modulus))
+            for link, res in zip(candidates, results)]
 
 
 def tune(network: Network, protocol: str, seed: int = 0,

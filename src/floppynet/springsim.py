@@ -164,11 +164,10 @@ def relax_all(networks: list[Network], config: SimConfig,
     free_xy = np.repeat(free[:, None], 2, axis=1)
     n_free = int(free.sum())
     arrays = [net.edge_arrays() for net in networks]
-    # network k owns flat coordinates from 2 * k * n on
-    ends = [_flat_ends(a + k * len(fixed), b + k * len(fixed))
-            for k, (a, b, _) in enumerate(arrays)]
-    ia = np.concatenate([e[0] for e in ends])
-    ib = np.concatenate([e[1] for e in ends])
+    # network k owns nodes k * n to (k + 1) * n - 1 of the stacked batch
+    offset = [k * len(fixed) for k in range(len(networks))]
+    ia, ib = _flat_ends(np.concatenate([a + o for (a, _, _), o in zip(arrays, offset)]),
+                        np.concatenate([b + o for (_, b, _), o in zip(arrays, offset)]))
     rest = np.concatenate([r for _, _, r in arrays])
     # a network without edges is never written by the drift, as when alone
     moved_xy = free_xy & np.array([len(a) > 0 for a, _, _ in arrays])[:, None, None]
