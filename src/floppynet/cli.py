@@ -35,6 +35,15 @@ def _read_json(path, what):
             raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def _read_key(path, what, key, data=None):
+    """``data[key]``, ``data`` read from ``path`` if not given; SchemaError if missing."""
+    if data is None:
+        data = _read_json(path, what)
+    if not isinstance(data, dict) or key not in data:
+        raise SchemaError(f"{what} {path} has no key '{key}'")
+    return data[key]
+
+
 def _load_network(args) -> networks.Network:
     if getattr(args, "fixture", None):
         return networks.fixture(args.fixture)
@@ -56,11 +65,12 @@ def cmd_decompose(args) -> None:
     net = _load_network(args)
     R = rigidity.build(net)
     if args.ensemble > 1:
-        ens = nullspace.ensemble(R, m=args.ensemble, base_seed=args.seed)
+        bases = nullspace.ensemble(R, m=args.ensemble, base_seed=args.seed)
+        participation = [b.participation for b in bases]
         data = {
-            "runs": [nullspace.basis_to_dict(b) for b in ens.bases],
-            "participation": [b.participation for b in ens.bases],
-            "mean_participation": float(ens.participation_rates().mean()),
+            "runs": [nullspace.basis_to_dict(b) for b in bases],
+            "participation": participation,
+            "mean_participation": float(np.mean(participation)),
         }
     else:
         if args.method == "snd":
@@ -222,8 +232,8 @@ def cmd_render(args) -> None:
     overlay = args.overlay
     if overlay.startswith("mode:"):
         basis = _read_json(args.basis, "basis")
-        runs = basis.get("runs")
-        modes = (runs[0] if runs else basis)["modes"]
+        runs = basis.get("runs") if isinstance(basis, dict) else None
+        modes = _read_key(args.basis, "basis", "modes", runs[0] if runs else basis)
         index = overlay.split(":", 1)[1]
         if not index.isdigit() or int(index) >= len(modes):
             raise SchemaError(f"overlay {overlay}: the basis holds modes "
@@ -233,16 +243,15 @@ def cmd_render(args) -> None:
             v[int(coord)] = value
         kwargs["mode_vector"] = v
     elif overlay == "globality":
-        pred = _read_json(args.prediction, "prediction")
-        kwargs["node_values"] = {int(k): float(v)
-                                 for k, v in pred["globality"].items()}
+        values = _read_key(args.prediction, "prediction", "globality")
+        kwargs["node_values"] = {int(k): float(v) for k, v in values.items()}
     elif overlay == "extensions":
-        sim = _read_json(args.sim, "simulation")
+        rows = _read_key(args.sim, "simulation", "per_edge")
         kwargs["edge_values"] = {(r["a"], r["b"]): r["scaled_extension"]
-                                 for r in sim["per_edge"]}
+                                 for r in rows}
     elif overlay == "prediction":
-        pred = _read_json(args.prediction, "prediction")
-        kwargs["marked_edges"] = {tuple(e) for e in pred["predicted_edges"]}
+        edges = _read_key(args.prediction, "prediction", "predicted_edges")
+        kwargs["marked_edges"] = {tuple(e) for e in edges}
     elif overlay != "none":
         raise FloppyNetError(f"unknown overlay {overlay!r}")
     if args.bounds:

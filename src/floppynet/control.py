@@ -80,21 +80,20 @@ def effector_distance(positions: np.ndarray, effectors, target) -> float:
     return float(np.linalg.norm(d, axis=1).mean())
 
 
-def project_to_manifold(positions: np.ndarray, network: Network,
-                        tol: float = PROJECTION_TOL,
-                        max_iter: int = PROJECTION_MAX_ITER) -> np.ndarray:
-    """Newton projection of free coordinates back onto the edge constraints."""
+def project_to_manifold(positions: np.ndarray, network: Network) -> np.ndarray:
+    """Newton projection of free coordinates back onto the edge constraints,
+    to ``PROJECTION_TOL`` within ``PROJECTION_MAX_ITER`` iterations."""
     x = positions.copy()
     a, b, rest = network.edge_arrays()
     if len(a) == 0:
         return x
     free = np.flatnonzero(~network.fixed)
     rows = np.arange(len(a))
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         d = x[a] - x[b]
         lengths = np.linalg.norm(d, axis=1)
         g = lengths - rest
-        if np.abs(g / rest).max() <= tol:
+        if np.abs(g / rest).max() <= PROJECTION_TOL:
             return x
         unit = d / lengths[:, None]
         jac = np.zeros((len(a), network.n_nodes, 2))   # edge x node x axis
@@ -104,7 +103,7 @@ def project_to_manifold(positions: np.ndarray, network: Network,
         x[free] += dx.reshape(-1, 2)
     raise ProjectionFailed(
         f"constraint violation {np.abs(g / rest).max():.3g} after "
-        f"{max_iter} Newton iterations")
+        f"{PROJECTION_MAX_ITER} Newton iterations")
 
 
 def match_modes(current: ModeBasis, reference: ModeBasis) -> dict[int, int]:

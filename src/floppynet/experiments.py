@@ -28,8 +28,8 @@ def participation_comparison(network: Network, n_shuffles: int = 100,
     0 or 1 by the sign of the mean.
     """
     R = rigidity.build(network)
-    ens = nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed)
-    p_snd = ens.participation_rates()
+    p_snd = np.array([b.participation for b in
+                      nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed)])
     p_svd = nullspace.svd_basis(R).participation
     diffs = p_snd - p_svd
     if np.ptp(diffs) == 0:
@@ -50,10 +50,9 @@ def involvement_comparison(network: Network, n_shuffles: int = 100,
                            base_seed: int = 0) -> dict:
     """Mean per-node mode involvement for sparse vs SVD bases."""
     R = rigidity.build(network)
-    ens = nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed)
     q_snd = np.mean([
         np.mean(list(nullspace.involvement_Q(b, network.n_nodes).values()))
-        for b in ens.bases])
+        for b in nullspace.ensemble(R, m=n_shuffles, base_seed=base_seed)])
     q_svd = np.mean(list(nullspace.involvement_Q(
         nullspace.svd_basis(R), network.n_nodes).values()))
     return {"mean_Q_snd": float(q_snd), "mean_Q_svd": float(q_svd)}
@@ -125,17 +124,15 @@ def reaching_network() -> Network:
     return net
 
 
-def reaching_energy_comparison(network: Network | None = None,
-                               n_pairs: int = 250, base_seed: int = 0,
-                               max_attempts: int | None = None) -> dict:
-    """Paired reaching tasks solved with sparse and SVD motion primitives.
+def reaching_energy_comparison(n_pairs: int = 250, base_seed: int = 0) -> dict:
+    """Paired reaching tasks on ``reaching_network`` with sparse and SVD motion primitives.
 
     Each pair shares the effector, target, and seed; only pairs where both
     methods reach the target count.  Targets are drawn within the effector's
-    null-space motion directions so most tasks are completable.
+    null-space motion directions so most tasks are completable; at most
+    ``4 * n_pairs`` are drawn.
     """
-    if network is None:
-        network = reaching_network()
+    network = reaching_network()
     R = rigidity.build(network)
     svd = nullspace.svd_basis(R)
     V = svd.vectors()
@@ -153,8 +150,7 @@ def reaching_energy_comparison(network: Network | None = None,
     completed = 0
     attempts = 0
     energies: list[tuple[float, float]] = []
-    budget = max_attempts if max_attempts is not None else 4 * n_pairs
-    while completed < n_pairs and attempts < budget:
+    while completed < n_pairs and attempts < 4 * n_pairs:
         attempts += 1
         node = int(rng.choice(movable))
         ang = rng.uniform(0, 2 * np.pi)

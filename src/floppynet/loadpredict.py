@@ -34,7 +34,6 @@ class GlobalityMap:
     f: dict[int, float]
     m: int
     rigid_nodes: frozenset[int]
-    threshold: float | None = None
 
 
 @dataclass
@@ -58,10 +57,9 @@ def globality(network: Network, m: int = DEFAULT_ENSEMBLE,
     Nodes that never move in any run are flagged rigid with f = 0.
     """
     R = rigidity.build(network)
-    ens = nullspace.ensemble(R, m=m, base_seed=base_seed)
     total = np.zeros(network.n_nodes)
     seen = np.zeros(network.n_nodes, dtype=bool)
-    for basis in ens.bases:
+    for basis in nullspace.ensemble(R, m=m, base_seed=base_seed):
         best = np.full(network.n_nodes, np.inf)
         for mode in basis.modes:
             for node in mode.node_support:

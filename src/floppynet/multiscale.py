@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nullspace, rigidity
-from .networks import Network, build_network
+from .networks import Network
 from .nullspace import Mode, ModeBasis, make_mode, sort_modes
 
 log = logging.getLogger(__name__)
@@ -158,25 +158,6 @@ def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
     return sorted(pick) if pick else None
 
 
-def _component_network(network: Network, comp: Component,
-                       articulation: set[int]) -> tuple[Network, list[int]]:
-    """Sub-network of one component with hinge and fixed nodes anchored."""
-    nodes = list(comp.nodes)
-    index = {u: k for k, u in enumerate(nodes)}
-    positions = network.positions[nodes]
-    fixed = np.array([network.fixed[u] or u in articulation for u in nodes])
-    rest = {(e.a, e.b): e.rest_length for e in network.edges}
-    edges = [(index[a], index[b], rest[(a, b)]) for a, b in comp.edges]
-    return build_network(positions, edges, fixed), nodes
-
-
-def _lift(vector: np.ndarray, nodes: list[int], n_coords: int) -> np.ndarray:
-    v = np.zeros(n_coords)
-    for k, u in enumerate(nodes):
-        v[2 * u: 2 * u + 2] = vector[2 * k: 2 * k + 2]
-    return v
-
-
 def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     """Whole-section rotational modes plus component-local modes.
 
@@ -218,16 +199,23 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
             candidates.append(mode)
 
     # component-local modes with articulation and fixed nodes anchored
+    anchored = network.fixed.copy()
+    anchored[list(decomp.articulation_nodes)] = True
     for ci, comp in enumerate(decomp.components):
-        sub, nodes = _component_network(network, comp, decomp.articulation_nodes)
-        if sub.fixed.all():
+        nodes = np.array(comp.nodes)
+        if anchored[nodes].all():
             continue
-        sub_basis = nullspace.snd_basis(rigidity.build(sub), shuffle_seed=seed + ci)
-        for m in sub_basis.modes:
-            lifted = make_mode(_lift(m.vector, nodes, network.n_coords),
-                               tag="component-local")
-            if lifted.max_residual(R) <= RESIDUAL_TOL:
-                candidates.append(lifted)
+        pairs = np.searchsorted(nodes, comp.edges)
+        R_comp = rigidity.assemble(network.positions[nodes], pairs, anchored[nodes])
+        basis = nullspace.snd_basis(R_comp, shuffle_seed=seed + ci)
+        if not basis.modes:
+            continue
+        lifted = np.zeros((len(basis), network.n_coords))
+        lifted[:, (2 * nodes[:, None] + np.arange(2)).ravel()] = basis.vectors()
+        for v in lifted:
+            mode = make_mode(v, tag="component-local")
+            if mode.max_residual(R) <= RESIDUAL_TOL:
+                candidates.append(mode)
 
     accepted: list[Mode] = []
     ortho: list[np.ndarray] = []

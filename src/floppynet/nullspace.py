@@ -69,6 +69,7 @@ class ModeBasis:
 
     @property
     def participation(self) -> int:
+        """Sum of mode sizes; lower means a sparser, more modular basis."""
         return sum(m.size_s for m in self.modes)
 
     def vectors(self) -> np.ndarray:
@@ -76,15 +77,6 @@ class ModeBasis:
         if not self.modes:
             return np.zeros((0, 0))
         return np.array([m.vector for m in self.modes])
-
-
-@dataclass
-class DecompositionEnsemble:
-    bases: list[ModeBasis]
-    m: int
-
-    def participation_rates(self) -> np.ndarray:
-        return np.array([b.participation for b in self.bases])
 
 
 def _finalize_vector(v: np.ndarray) -> np.ndarray:
@@ -196,13 +188,6 @@ def svd_basis(R: np.ndarray) -> ModeBasis:
     return ModeBasis(modes, "SVD", None)
 
 
-def participation_rate(basis: ModeBasis) -> int:
-    """Sum of mode sizes; lower means a sparser, more modular basis."""
-    if not basis.modes:
-        raise ValueError("basis is empty")
-    return basis.participation
-
-
 def involvement_Q(basis: ModeBasis, n_nodes: int | None = None) -> dict[int, int]:
     """Per node, the number of modes whose support touches it."""
     if n_nodes is None:
@@ -214,7 +199,7 @@ def involvement_Q(basis: ModeBasis, n_nodes: int | None = None) -> dict[int, int
     return q
 
 
-def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> DecompositionEnsemble:
+def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> list[ModeBasis]:
     """``m`` SND runs in run order, run k with its rows shuffled by seed ``base_seed + k``."""
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -224,7 +209,7 @@ def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> DecompositionEn
             bases.append(snd_basis(R, shuffle_seed=int(base_seed + idx)))
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"run {idx}: {exc}") from exc
-    return DecompositionEnsemble(bases, m)
+    return bases
 
 
 def span_residual(basis_a: ModeBasis, basis_b: ModeBasis) -> float:

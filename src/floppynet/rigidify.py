@@ -22,6 +22,11 @@ from .springsim import SimConfig
 #: multiple of the mean edge length.
 NEIGHBOUR_FACTOR = 1.2
 
+# Grown networks ``tune`` relaxes per lockstep batch: its memory stays at
+# one batch however long the run, and the curve is the same for any value,
+# since members of a batch never interact.
+_TUNE_CHUNK = 32
+
 
 @dataclass
 class TuningRun:
@@ -112,9 +117,9 @@ def tune(network: Network, protocol: str, seed: int = 0,
 
     ``protocol`` is ``"MS"`` or ``"random"``.  The run stops after ``stop_at``
     additions or when every candidate link has been used.  No selection reads
-    G (MS reads only the network, random only the run's generator), so the
-    whole link sequence is chosen first and the G curve is then measured in
-    one lockstep relaxation of the start network and every grown network.
+    G (MS reads only the network, random only the run's generator), so links
+    are chosen ahead of the measurement: the start network and the grown
+    networks are relaxed in lockstep, a fixed-size chunk of them at a time.
     A reduced-step relaxation keeps sequential runs affordable; pass an
     explicit ``config`` for full-length measurements.
     """
@@ -126,7 +131,13 @@ def tune(network: Network, protocol: str, seed: int = 0,
     net = network.copy()
     remaining = candidate_links(net)
     sequence: list[tuple[int, int]] = []
-    grown = [net]
+    chunk = [net]
+    curve: list[tuple[int, float]] = []
+
+    def measure():
+        results = springsim.shear_moduli(chunk, config)
+        curve.extend((n.n_edges, float(r.shear_modulus)) for n, r in zip(chunk, results))
+        chunk.clear()
 
     while remaining and (stop_at is None or len(sequence) < stop_at):
         if protocol == "MS":
@@ -140,7 +151,8 @@ def tune(network: Network, protocol: str, seed: int = 0,
         remaining.remove(link)
         net = net.with_edges(list(net.edge_set()) + [link])
         sequence.append(link)
-        grown.append(net)
-    curve = [(n.n_edges, float(r.shear_modulus))
-             for n, r in zip(grown, springsim.shear_moduli(grown, config))]
+        chunk.append(net)
+        if len(chunk) == _TUNE_CHUNK:
+            measure()
+    measure()
     return TuningRun(protocol, sequence, curve, seed)

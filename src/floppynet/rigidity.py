@@ -17,36 +17,40 @@ from .networks import Network
 RANK_TOL = 1e-9
 
 
-def build(network: Network) -> np.ndarray:
-    """Assemble the unit-row constraint Jacobian of ``network``.
+def assemble(positions: np.ndarray, pairs, fixed) -> np.ndarray:
+    """Unit-row constraint Jacobian of bars ``pairs`` between ``positions``.
 
-    Row order is part of the contract: one row per edge, in
-    ``network.edges`` order, then an x row and a y row for each fixed node,
-    in ascending node order.  Edge rows carry ``2(x_p - x_q)`` on the
-    columns of endpoint ``p`` and the negative on ``q``; anchor rows carry a
-    single entry on the node's x or y column.  Every row is then scaled to
-    unit Euclidean norm.
+    Row order is part of the contract: one row per ``(p, q)`` pair, in
+    order, then an x row and a y row for each node flagged in the boolean
+    mask ``fixed``, in ascending node order.  Bar rows carry
+    ``2(x_p - x_q)`` on the columns of ``p`` and the negative on ``q``;
+    anchor rows carry a single entry on the node's x or y column.  Every
+    row is then scaled to unit Euclidean norm.  A bar of zero length raises
+    ``DegenerateEdgeError`` naming the first such pair.
     """
-    n = network.n_coords
-    rows = []
-    for e in network.edges:
-        d = network.positions[e.a] - network.positions[e.b]
-        if np.linalg.norm(d) <= 1e-12:
-            raise DegenerateEdgeError(f"edge ({e.a},{e.b}) has zero length")
-        row = np.zeros(n)
-        row[2 * e.a: 2 * e.a + 2] = 2.0 * d
-        row[2 * e.b: 2 * e.b + 2] = -2.0 * d
-        rows.append(row)
-    for node in np.flatnonzero(network.fixed):
-        for axis in (0, 1):
-            row = np.zeros(n)
-            row[2 * node + axis] = 1.0
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, n))
-    R = np.array(rows)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    anchored = np.flatnonzero(fixed)
+    p, q = pairs[:, 0], pairs[:, 1]
+    d = positions[p] - positions[q]
+    degenerate = np.flatnonzero(np.linalg.norm(d, axis=1) <= 1e-12)
+    if degenerate.size:
+        k = degenerate[0]
+        raise DegenerateEdgeError(f"edge ({p[k]},{q[k]}) has zero length")
+    m = len(pairs)
+    R = np.zeros((m + 2 * len(anchored), 2 * len(positions)))
+    bars = np.arange(m)[:, None]
+    axes = np.arange(2)
+    R[bars, 2 * p[:, None] + axes] = 2.0 * d
+    R[bars, 2 * q[:, None] + axes] = -2.0 * d
+    R[np.arange(m, R.shape[0]), (2 * anchored[:, None] + axes).ravel()] = 1.0
     R /= np.linalg.norm(R, axis=1)[:, None]
     return R
+
+
+def build(network: Network) -> np.ndarray:
+    """``assemble`` over the edges of ``network``: edge ``k`` is row ``k``."""
+    ends = np.array(network.edges).reshape(-1, 3)[:, :2]
+    return assemble(network.positions, ends, network.fixed)
 
 
 def shuffle_rows(R: np.ndarray, seed: int) -> np.ndarray:

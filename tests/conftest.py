@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from floppynet import networks
+from floppynet import experiments, networks
+from floppynet.networks import GeneratorSpec
 
 
 @pytest.fixture
@@ -34,6 +35,34 @@ def pinned_bar():
 def free_triangle():
     return networks.build_network([(0.0, 0.0), (1.0, 0.1), (0.4, 0.9)],
                                   [(0, 1), (1, 2), (0, 2)])
+
+
+def lattice(size, dilution, seed):
+    """A ``size`` x ``size`` diluted lattice with its top and bottom rows fixed."""
+    return networks.generate_triangular(GeneratorSpec(
+        kind="triangular_lattice", dimensions=(size, size),
+        dilution_fraction=dilution, seed=seed, boundary="fixed_rows"))
+
+
+def panel(k):
+    """The benchmark's ``decompose`` participation panel, lattice ``k``."""
+    return lattice((25, 15, 15, 15, 15)[k], 0.6, k)
+
+
+ARM_POSES = [(0.7, 1.3), (1.9, -1.6), (2.4, 1.1)]
+
+
+def named_network(name):
+    """A fixture, a panel lattice (``panel<k>``) or an arm pose (``arm<k>``) by name."""
+    if name.startswith("panel"):
+        return panel(int(name[5:]))
+    if name.startswith("arm"):
+        return networks.make_robot_arm(*ARM_POSES[int(name[3:])])
+    return {"robot_arm": lambda: networks.fixture("robot_arm"),
+            "molecule": lambda: networks.fixture("molecule_fixture"),
+            "lattice_4x4": networks.lattice_fixture_4x4,
+            "hinged": networks.hinged_fixture,
+            "reaching": experiments.reaching_network}[name]()
 
 
 def constraint_values(network, positions):

@@ -296,6 +296,27 @@ class TestRenderCommand:
         assert f"needs {option}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overlay, option, text, key", [
+        pytest.param("globality", "--prediction", '{"predicted_edges": []}',
+                     "globality", id="globality"),
+        pytest.param("extensions", "--sim", '{"E": 0.0}', "per_edge",
+                     id="extensions"),
+        pytest.param("prediction", "--prediction", '{"globality": {}}',
+                     "predicted_edges", id="prediction"),
+        pytest.param("mode:0", "--basis", "[]", "modes", id="mode-list"),
+    ])
+    def test_overlay_file_without_its_key_is_a_schema_violation(
+            self, tmp_path, capsys, overlay, option, text, key):
+        data = tmp_path / "in.json"
+        data.write_text(text)
+        out = tmp_path / "arm.svg"
+        assert run(["render", "--fixture", "robot_arm", "--overlay", overlay,
+                    option, data, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [schema-violation]")
+        assert f"{data} has no key '{key}'" in err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_unknown_overlay(self, tmp_path):
         assert run(["render", "--fixture", "robot_arm", "--overlay", "zorp",
                     "--out", tmp_path / "x.svg"]) == 1

@@ -62,7 +62,7 @@ class TestPrediction:
     def test_eligibility_collapse_marks_direct_edges(self, packed_18dof):
         gmap = loadpredict.globality(packed_18dof, m=10)
         huge_t = max(gmap.f.values()) + 1
-        rigid_free = GlobalityMap(gmap.f, gmap.m, frozenset(), huge_t)
+        rigid_free = GlobalityMap(gmap.f, gmap.m, frozenset())
         predicted = loadpredict.predict_loaded_edges(packed_18dof, rigid_free,
                                                      t=huge_t)
         for a, b in predicted:

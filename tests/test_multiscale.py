@@ -5,35 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floppynet import experiments, multiscale, networks, nullspace, rigidity
+from floppynet import multiscale, networks, nullspace, rigidity
 from floppynet.networks import GeneratorSpec
 
-
-def _lattice(size, dilution, seed):
-    return networks.generate_triangular(GeneratorSpec(
-        kind="triangular_lattice", dimensions=(size, size),
-        dilution_fraction=dilution, seed=seed, boundary="fixed_rows"))
-
-
-def _panel(k):
-    """The benchmark's ``decompose`` participation panel, lattice ``k``."""
-    return _lattice((25, 15, 15, 15, 15)[k], 0.6, k)
-
-
-ARM_POSES = [(0.7, 1.3), (1.9, -1.6), (2.4, 1.1)]
-
-
-def _pinned_network(name):
-    """A fixture, a panel lattice (``panel<k>``) or an arm pose (``arm<k>``) by name."""
-    if name.startswith("panel"):
-        return _panel(int(name[5:]))
-    if name.startswith("arm"):
-        return networks.make_robot_arm(*ARM_POSES[int(name[3:])])
-    return {"robot_arm": lambda: networks.fixture("robot_arm"),
-            "molecule": lambda: networks.fixture("molecule_fixture"),
-            "lattice_4x4": networks.lattice_fixture_4x4,
-            "hinged": networks.hinged_fixture,
-            "reaching": experiments.reaching_network}[name]()
+from conftest import lattice, named_network, panel
 
 
 def _networkx_hinges(network):
@@ -58,7 +33,7 @@ def _graph(n_nodes, edges):
 
 def _random_lattices():
     rng = np.random.default_rng(2024)
-    return [_lattice(int(rng.integers(4, 12)), float(rng.uniform(0.3, 0.8)),
+    return [lattice(int(rng.integers(4, 12)), float(rng.uniform(0.3, 0.8)),
                      int(rng.integers(2 ** 31))) for _ in range(30)]
 
 
@@ -66,12 +41,12 @@ class TestFindHingesMatchesNetworkx:
     @pytest.mark.parametrize("name", ["robot_arm", "molecule", "lattice_4x4",
                                       "hinged", "reaching"])
     def test_fixtures(self, name):
-        net = _pinned_network(name)
+        net = named_network(name)
         assert multiscale.find_hinges(net) == _networkx_hinges(net)
 
     @pytest.mark.parametrize("k", range(5))
     def test_panel_lattices(self, k):
-        net = _panel(k)
+        net = panel(k)
         assert multiscale.find_hinges(net) == _networkx_hinges(net)
 
     def test_random_lattices(self):
@@ -247,7 +222,7 @@ def _reference_section(network, hinge):
 @pytest.mark.parametrize("size,dilution,seed", [(7, 0.6, 0), (9, 0.7, 3),
                                                 (11, 0.5, 5)])
 def test_distal_section_matches_component_reference(size, dilution, seed):
-    net = _lattice(size, dilution, seed)
+    net = lattice(size, dilution, seed)
     adjacency = [[] for _ in range(net.n_nodes)]
     for e in net.edges:
         adjacency[e.a].append(e.b)
@@ -294,4 +269,4 @@ def _basis_digest(network):
 
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_multiscale_basis_bytes_pinned(name):
-    assert _basis_digest(_pinned_network(name)) == PINNED_BASES[name]
+    assert _basis_digest(named_network(name)) == PINNED_BASES[name]

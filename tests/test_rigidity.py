@@ -1,10 +1,81 @@
 import numpy as np
 import pytest
 
-from floppynet import networks, rigidity
+from floppynet import multiscale, networks, rigidity
 from floppynet.errors import DegenerateEdgeError
+from floppynet.networks import GeneratorSpec
 
-from conftest import constraint_values, fd_dof, fd_jacobian
+from conftest import constraint_values, fd_dof, fd_jacobian, named_network
+
+
+def _reference_build(network):
+    """Oracle: the constraint Jacobian filled one edge row at a time."""
+    n = network.n_coords
+    rows = []
+    for e in network.edges:
+        d = network.positions[e.a] - network.positions[e.b]
+        if np.linalg.norm(d) <= 1e-12:
+            raise DegenerateEdgeError(f"edge ({e.a},{e.b}) has zero length")
+        row = np.zeros(n)
+        row[2 * e.a: 2 * e.a + 2] = 2.0 * d
+        row[2 * e.b: 2 * e.b + 2] = -2.0 * d
+        rows.append(row)
+    for node in np.flatnonzero(network.fixed):
+        for axis in (0, 1):
+            row = np.zeros(n)
+            row[2 * node + axis] = 1.0
+            rows.append(row)
+    if not rows:
+        return np.zeros((0, n))
+    R = np.array(rows)
+    R /= np.linalg.norm(R, axis=1)[:, None]
+    return R
+
+
+def _component_network(network, comp, articulation):
+    """Oracle: one hinge component as a sub-network, hinge and fixed nodes anchored."""
+    nodes = list(comp.nodes)
+    index = {u: k for k, u in enumerate(nodes)}
+    rest = {(e.a, e.b): e.rest_length for e in network.edges}
+    fixed = [bool(network.fixed[u]) or u in articulation for u in nodes]
+    return networks.build_network(
+        network.positions[nodes],
+        [(index[a], index[b], rest[(a, b)]) for a, b in comp.edges], fixed)
+
+
+def _assert_same_bytes(R, ref):
+    assert R.shape == ref.shape
+    assert R.tobytes() == ref.tobytes()
+
+
+REFERENCE_NETWORKS = ["robot_arm", "molecule", "lattice_4x4", "hinged", "reaching",
+                      "panel0", "panel1", "panel2", "panel3", "panel4", "packing"]
+
+
+def _reference_network(name):
+    if name == "packing":
+        return networks.generate_bidisperse_packing(GeneratorSpec(
+            kind="bidisperse_packing", seed=1, n_disks=48, target_dof=18))
+    return named_network(name)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NETWORKS)
+class TestMatchesPerEdgeLoop:
+    def test_build(self, name):
+        net = _reference_network(name)
+        _assert_same_bytes(rigidity.build(net), _reference_build(net))
+
+    def test_assemble_of_each_hinge_component(self, name):
+        net = _reference_network(name)
+        decomp = multiscale.find_hinges(net)
+        anchored = net.fixed.copy()
+        anchored[list(decomp.articulation_nodes)] = True
+        for comp in decomp.components:
+            nodes = np.array(comp.nodes)
+            R = rigidity.assemble(net.positions[nodes],
+                                  np.searchsorted(nodes, comp.edges), anchored[nodes])
+            _assert_same_bytes(R, _reference_build(_component_network(
+                net, comp, decomp.articulation_nodes)))
 
 
 class TestBuild:
@@ -89,9 +160,11 @@ class TestBuild:
         assert np.abs(proj - null_unit).max() <= 1e-9
 
     def test_degenerate_edge(self):
-        net = networks.build_network([(0, 0), (1, 0)], [(0, 1, 1.0)])
-        net.positions[1] = net.positions[0]
-        with pytest.raises(DegenerateEdgeError):
+        # two zero-length edges; the error names the first in edge order
+        net = networks.build_network([(0, 0), (1, 0), (1, 0), (1, 0)],
+                                     [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
+        with pytest.raises(DegenerateEdgeError,
+                           match=r"^edge \(2,3\) has zero length$"):
             rigidity.build(net)
 
     def test_rigid_body_motions_of_free_network(self, free_triangle):

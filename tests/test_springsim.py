@@ -381,6 +381,20 @@ class TestLockstepCallersMatchOneAtATime:
         assert (run.link_sequence, run.g_curve) == _reference_tune(
             net, protocol, 101, 4, cfg, monkeypatch)
 
+    def test_tune_longer_than_one_chunk(self, monkeypatch):
+        # the curve crosses two chunk boundaries, the last chunk part-full;
+        # chunking is the same for either protocol
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", dimensions=(9, 9), dilution_fraction=0.4,
+            seed=2, boundary="fixed_rows"))
+        stop_at = 2 * rigidify._TUNE_CHUNK + 3
+        assert len(rigidify.candidate_links(net)) > stop_at
+        cfg = SimConfig(steps=60, seed=4)
+        run = rigidify.tune(net, "random", seed=7, stop_at=stop_at, config=cfg)
+        assert len(run.g_curve) == stop_at + 1
+        assert (run.link_sequence, run.g_curve) == _reference_tune(
+            net, "random", 7, stop_at, cfg, monkeypatch)
+
 
 @pytest.mark.parametrize("protocol, links, curve", [
     ("MS", [(24, 31), (23, 24), (17, 23), (23, 31), (19, 25)],
