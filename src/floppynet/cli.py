@@ -230,30 +230,37 @@ def cmd_render(args) -> None:
     net = _load_network(args)
     kwargs = {}
     overlay = args.overlay
-    if overlay.startswith("mode:"):
-        basis = _read_json(args.basis, "basis")
-        runs = basis.get("runs") if isinstance(basis, dict) else None
-        modes = _read_key(args.basis, "basis", "modes", runs[0] if runs else basis)
-        index = overlay.split(":", 1)[1]
-        if not index.isdigit() or int(index) >= len(modes):
-            raise SchemaError(f"overlay {overlay}: the basis holds modes "
-                              f"0 to {len(modes) - 1}")
-        v = np.zeros(net.n_coords)
-        for coord, value in modes[int(index)]["entries"]:
-            v[int(coord)] = value
-        kwargs["mode_vector"] = v
-    elif overlay == "globality":
-        values = _read_key(args.prediction, "prediction", "globality")
-        kwargs["node_values"] = {int(k): float(v) for k, v in values.items()}
-    elif overlay == "extensions":
-        rows = _read_key(args.sim, "simulation", "per_edge")
-        kwargs["edge_values"] = {(r["a"], r["b"]): r["scaled_extension"]
-                                 for r in rows}
-    elif overlay == "prediction":
-        edges = _read_key(args.prediction, "prediction", "predicted_edges")
-        kwargs["marked_edges"] = {tuple(e) for e in edges}
-    elif overlay != "none":
-        raise FloppyNetError(f"unknown overlay {overlay!r}")
+    try:
+        if overlay.startswith("mode:"):
+            basis = _read_json(args.basis, "basis")
+            runs = basis.get("runs") if isinstance(basis, dict) else None
+            modes = _read_key(args.basis, "basis", "modes", runs[0] if runs else basis)
+            index = overlay.split(":", 1)[1]
+            if not index.isdigit() or int(index) >= len(modes):
+                raise SchemaError(f"overlay {overlay}: the basis holds modes "
+                                  f"0 to {len(modes) - 1}")
+            v = np.zeros(net.n_coords)
+            for coord, value in modes[int(index)]["entries"]:
+                v[int(coord)] = float(value)
+            kwargs["mode_vector"] = v
+        elif overlay == "globality":
+            values = _read_key(args.prediction, "prediction", "globality")
+            kwargs["node_values"] = {int(k): float(v) for k, v in values.items()}
+        elif overlay == "extensions":
+            rows = _read_key(args.sim, "simulation", "per_edge")
+            kwargs["edge_values"] = {
+                (int(r["a"]), int(r["b"])): float(r["scaled_extension"]) for r in rows}
+        elif overlay == "prediction":
+            edges = _read_key(args.prediction, "prediction", "predicted_edges")
+            kwargs["marked_edges"] = {(int(a), int(b)) for a, b in edges}
+        elif overlay != "none":
+            raise FloppyNetError(f"unknown overlay {overlay!r}")
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # read before anything is written, so a malformed file writes nothing;
+        # a mode:K overlay reads --basis
+        path = getattr(args, _OVERLAY_INPUTS.get(overlay, "basis"))
+        raise SchemaError(f"overlay {overlay}: {path} holds a malformed "
+                          f"entry ({exc!r})") from exc
     if args.bounds:
         kwargs["colour_bounds"] = tuple(args.bounds)
     render.save_svg(render.render_network(net, **kwargs), args.out)

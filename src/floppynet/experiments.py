@@ -213,14 +213,13 @@ def single_link_instance(dilution: float, seed: int, boundary: str) -> Network:
 def dominant_mode_gated(network: Network) -> bool:
     """Whether one floppy mode dominates the network's sparse basis.
 
-    True when the network has at least one degree of freedom and the largest
-    mode of the unshuffled SND basis is bigger than all other modes together
-    (``2 * size_s > participation``).  Only the geometry is read.
+    True when the unshuffled SND basis holds a mode bigger than all other
+    modes together (``2 * size_s > participation``); an empty basis means a
+    rigid network.  Only the geometry is read.
     """
-    R = rigidity.build(network)
-    if rigidity.dof(R) < 1:
+    basis = nullspace.snd_basis(rigidity.build(network))
+    if not basis.modes:
         return False
-    basis = nullspace.snd_basis(R)
     return 2 * max(m.size_s for m in basis.modes) > basis.participation
 
 

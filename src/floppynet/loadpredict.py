@@ -114,8 +114,8 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
         dist = {source: 0}
         parents: dict[int, list[int]] = {source: []}
         frontier = [source]
-        terminal = None
-        while frontier and terminal is None:
+        terminals: list[int] = []
+        while frontier and not terminals:
             nxt = []
             for u in frontier:
                 for v in adj[u]:
@@ -127,13 +127,11 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
                         parents[v].append(u)
             hits = sorted(v for v in nxt
                           if v != source and network.fixed[v])
-            if hits:
-                terminal = hits[0] if not mark_all_ties else hits
+            terminals = hits if mark_all_ties else hits[:1]
             frontier = nxt
-        if terminal is None:
+        if not terminals:
             continue
         any_path = True
-        terminals = terminal if isinstance(terminal, list) else [terminal]
         stack = list(terminals)
         seen_back = set(stack)
         while stack:

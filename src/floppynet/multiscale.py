@@ -166,6 +166,7 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     whole null space the deficit is filled from a plain sparse decomposition.
     """
     R = rigidity.build(network)
+    # an SVD count, not an up-front fallback SND: most arm calls never need that SND
     total = rigidity.dof(R)
     adjacency = _neighbours(network)
     decomp = find_hinges(network)

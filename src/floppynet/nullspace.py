@@ -149,16 +149,15 @@ def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
                 f"{n_live} live rows left, projection not finite")
         if dmax <= DROP_TOL:
             continue    # constraint already satisfied by every row: redundant
-        cand = np.flatnonzero(absd > max(DROP_TOL, _PIVOT_REL * dmax))
+        hit = np.flatnonzero(absd > DROP_TOL)     # rows the constraint touches
+        cand = hit[absd[hit] > _PIVOT_REL * dmax]
         nnz = (np.abs(H[cand]) > _WORK_TOL).sum(axis=1)
-        touched = int((absd > DROP_TOL).sum()) - 1
-        score = nnz * max(touched, 1)
+        score = nnz * max(len(hit) - 1, 1)
         # score ascending, then |projection| descending, then row index
         p = int(cand[np.lexsort((cand, -absd[cand], score))[0]])
         pivot = H[p].copy()
         dp = d[p]
-        upd = np.flatnonzero(absd > DROP_TOL)
-        upd = upd[upd != p]
+        upd = hit[hit != p]
         if upd.size:
             block = H[upd] - np.outer(d[upd] / dp, pivot)
             norms = np.linalg.norm(block, axis=1)

@@ -56,17 +56,13 @@ def candidate_links(network: Network) -> list[tuple[int, int]]:
     return [e for e in pool if e not in existing]
 
 
-def _node_displacements(mode: nullspace.Mode, n_nodes: int) -> np.ndarray:
-    v = mode.vector.reshape(n_nodes, 2)
-    return np.linalg.norm(v, axis=1)
-
-
 def ms_select_link(network: Network, seed: int = 0,
                    candidates: list[tuple[int, int]] | None = None) -> tuple[int, int]:
     """One application of the stiffness-maximizing selection rule."""
     rng = np.random.default_rng(seed)
-    R = rigidity.build(network)
-    if rigidity.dof(R) == 0:
+    basis = nullspace.snd_basis(rigidity.build(network),
+                                shuffle_seed=int(rng.integers(2 ** 32)))
+    if not basis.modes:
         raise AlreadyRigidError("network has no floppy modes")
     if candidates is None:
         candidates = candidate_links(network)
@@ -77,8 +73,7 @@ def ms_select_link(network: Network, seed: int = 0,
         by_node.setdefault(e[0], []).append(e)
         by_node.setdefault(e[1], []).append(e)
 
-    basis = nullspace.snd_basis(R, shuffle_seed=int(rng.integers(2 ** 32)))
-    disp = {id(m): _node_displacements(m, network.n_nodes) for m in basis.modes}
+    disp = {id(m): np.linalg.norm(m.vector.reshape(-1, 2), axis=1) for m in basis.modes}
     largest = max(basis.modes,
                   key=lambda m: (m.size_s, float(disp[id(m)].max()), m.support))
     node_disp = disp[id(largest)]

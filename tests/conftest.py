@@ -37,6 +37,17 @@ def free_triangle():
                                   [(0, 1), (1, 2), (0, 2)])
 
 
+@pytest.fixture(params=[3e-10, 1e-9], ids=["3e-10", "1e-9"])
+def near_degenerate_chain(request):
+    """Two pinned bars meeting at a free node lifted by ``delta``, plus an
+    isolated fixed node near it.  The values-only SVD counts one floppy mode
+    (``dof`` 1), while SND, at its absolute drop tolerance, builds none."""
+    delta = request.param
+    return networks.build_network(
+        [(0.0, 0.0), (1.0, delta), (2.0, 0.0), (1.0, -0.9)],
+        [(0, 1), (1, 2)], [True, False, True, True], {"generator": "custom"})
+
+
 def lattice(size, dilution, seed):
     """A ``size`` x ``size`` diluted lattice with its top and bottom rows fixed."""
     return networks.generate_triangular(GeneratorSpec(

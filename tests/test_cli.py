@@ -192,6 +192,18 @@ class TestSimulateCommand:
         assert len(data["per_edge"]) == 33
 
 
+class TestRigidifyCommand:
+    def test_ms_on_a_network_snd_finds_rigid(self, tmp_path, near_degenerate_chain):
+        # SND builds no mode, so the one MS pick falls back to a random link
+        net, out = tmp_path / "chain.json", tmp_path / "curve.csv"
+        networks.save(near_degenerate_chain, net)
+        assert run(["rigidify", "--network", net, "--protocol", "ms",
+                    "--steps", 200, "--out", out]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "step,added_a,added_b,edge_count,G"
+        assert rows[2].startswith("1,1,3,3,")
+
+
 class TestPredictCommand:
     def test_prediction_and_scoring(self, tmp_path):
         netfile = tmp_path / "net.json"
@@ -296,17 +308,23 @@ class TestRenderCommand:
         assert f"needs {option}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overlay, option, text, key", [
+    @pytest.mark.parametrize("overlay, option, text, says", [
         pytest.param("globality", "--prediction", '{"predicted_edges": []}',
-                     "globality", id="globality"),
-        pytest.param("extensions", "--sim", '{"E": 0.0}', "per_edge",
+                     "has no key 'globality'", id="globality"),
+        pytest.param("extensions", "--sim", '{"E": 0.0}', "has no key 'per_edge'",
                      id="extensions"),
         pytest.param("prediction", "--prediction", '{"globality": {}}',
-                     "predicted_edges", id="prediction"),
-        pytest.param("mode:0", "--basis", "[]", "modes", id="mode-list"),
+                     "has no key 'predicted_edges'", id="prediction"),
+        pytest.param("mode:0", "--basis", "[]", "has no key 'modes'", id="mode-list"),
+        pytest.param("extensions", "--sim", '{"per_edge": [{"a": 0}]}',
+                     "holds a malformed entry", id="extensions-entry"),
+        pytest.param("mode:0", "--basis", '{"modes": [{"size": 2}]}',
+                     "holds a malformed entry", id="mode-without-entries"),
+        pytest.param("globality", "--prediction", '{"globality": {"0": "high"}}',
+                     "holds a malformed entry", id="globality-value"),
     ])
     def test_overlay_file_without_its_key_is_a_schema_violation(
-            self, tmp_path, capsys, overlay, option, text, key):
+            self, tmp_path, capsys, overlay, option, text, says):
         data = tmp_path / "in.json"
         data.write_text(text)
         out = tmp_path / "arm.svg"
@@ -314,7 +332,7 @@ class TestRenderCommand:
                     option, data, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [schema-violation]")
-        assert f"{data} has no key '{key}'" in err
+        assert f"{data} {says}" in err
         assert list(tmp_path.iterdir()) == [data]
 
     def test_unknown_overlay(self, tmp_path):

@@ -73,6 +73,10 @@ def test_dominant_mode_predicate_rigid_network():
     assert not experiments.dominant_mode_gated(networks.generate_triangular(spec))
 
 
+def test_dominant_mode_predicate_empty_sparse_basis(near_degenerate_chain):
+    assert not experiments.dominant_mode_gated(near_degenerate_chain)
+
+
 def test_single_link_comparison_rejects_unregistered_count():
     n = len(experiments.SINGLE_LINK_INSTANCES) + 1
     with pytest.raises(ValueError, match="registered"):

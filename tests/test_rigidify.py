@@ -56,6 +56,12 @@ class TestMsSelectLink:
         with pytest.raises(AlreadyRigidError):
             rigidify.ms_select_link(net, seed=0)
 
+    def test_empty_sparse_basis_is_already_rigid(self, near_degenerate_chain):
+        # SND alone decides: an empty basis is rigid even where the SVD
+        # rank would leave one degree of freedom
+        with pytest.raises(AlreadyRigidError):
+            rigidify.ms_select_link(near_degenerate_chain, seed=0)
+
     def test_pinned_bar_anchors_free_end(self):
         # one pinned bar plus an isolated fixed node: the only useful link
         # ties the swinging free end down
