@@ -14,7 +14,7 @@ and the isolated-node loop and the side search read the same lists.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +24,6 @@ from .networks import Network
 from .nullspace import Mode, ModeBasis, make_mode, sort_modes
 
 log = logging.getLogger(__name__)
-
-#: A candidate mode must violate no constraint by more than this.
-RESIDUAL_TOL = 1e-8
 
 # Linear-independence threshold when assembling candidate modes.
 _INDEP_TOL = 1e-6
@@ -126,16 +123,17 @@ def _rotation_about(network: Network, center: int, section) -> np.ndarray:
 
 
 def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
-    """Pick the side of ``hinge`` that should rotate.
+    """The side of ``hinge`` that should rotate, or ``None``.
 
     The sides are the connected components of the bond graph (neighbour lists
-    ``adjacency``) once the hinge is removed.  Prefer sides containing no
-    fixed node; among those (or among all sides if none qualifies) take the
-    smallest, breaking ties by lowest node id.
+    ``adjacency``) once the hinge is removed.  Every bar leaving a side ends
+    at the hinge, so turning a side that holds no fixed node stretches no
+    bar.  Take the smallest such side, breaking ties by lowest node id;
+    ``None`` if every side holds a fixed node.
     """
     seen = [False] * len(adjacency)
     seen[hinge] = True
-    best = best_unfixed = None
+    best = None
     for start in range(len(adjacency)):
         if seen[start]:
             continue
@@ -149,21 +147,22 @@ def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
                     stack.append(w)
         # sides are found in order of their lowest node, so the first
         # smallest one wins ties
-        if best is None or len(side) < len(best):
-            best = side
         if not any(fixed[u] for u in side) and (
-                best_unfixed is None or len(side) < len(best_unfixed)):
-            best_unfixed = side
-    pick = best_unfixed or best
-    return sorted(pick) if pick else None
+                best is None or len(side) < len(best)):
+            best = side
+    return sorted(best) if best else None
 
 
 def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     """Whole-section rotational modes plus component-local modes.
 
-    Candidate rotations that are pinned by other paths fail the null-space
-    residual test and are dropped.  If the assembled set does not span the
-    whole null space the deficit is filled from a plain sparse decomposition.
+    Both kinds are floppy by construction, so no candidate is tested against
+    the rigidity matrix.  A rotation turns a side of a hinge that holds no
+    fixed node, and every bar leaving that side ends at the hinge.  A
+    component's modes come from every row its free nodes touch, with its
+    hinges anchored.  Candidates are kept while they are linearly independent
+    of those already kept.  If the assembled set does not span the whole null
+    space the deficit is filled from a plain sparse decomposition.
     """
     R = rigidity.build(network)
     # an SVD count, not an up-front fallback SND: most arm calls never need that SND
@@ -171,7 +170,20 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     adjacency = _neighbours(network)
     decomp = find_hinges(network)
 
-    candidates: list[Mode] = []
+    accepted: list[Mode] = []
+    ortho: list[np.ndarray] = []
+
+    def try_accept(mode: Mode) -> None:
+        if len(accepted) >= total:
+            return
+        r = mode.vector.copy()
+        for q in ortho:
+            r -= (q @ r) * q
+        norm = np.linalg.norm(r)
+        if norm <= _INDEP_TOL:
+            return
+        accepted.append(mode)
+        ortho.append(r / norm)
 
     # free-floating isolated nodes move one coordinate at a time
     for u in range(network.n_nodes):
@@ -180,9 +192,9 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         for axis in (0, 1):
             v = np.zeros(network.n_coords)
             v[2 * u + axis] = 1.0
-            candidates.append(make_mode(v, tag="component-local"))
+            try_accept(make_mode(v, tag="component-local"))
 
-    # one rotation candidate per hinge; fixed nodes act as hinges to ground
+    # one rotation per hinge; fixed nodes act as hinges to ground
     hinge_nodes = sorted(decomp.articulation_nodes
                          | set(np.flatnonzero(network.fixed)))
     fixed = network.fixed.tolist()
@@ -195,9 +207,7 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         v = _rotation_about(network, hinge, section)
         if np.linalg.norm(v) == 0.0:
             continue
-        mode = make_mode(v, tag="rotational")
-        if mode.max_residual(R) <= RESIDUAL_TOL:
-            candidates.append(mode)
+        try_accept(make_mode(v, tag="rotational"))
 
     # component-local modes with articulation and fixed nodes anchored
     anchored = network.fixed.copy()
@@ -214,36 +224,13 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         lifted = np.zeros((len(basis), network.n_coords))
         lifted[:, (2 * nodes[:, None] + np.arange(2)).ravel()] = basis.vectors()
         for v in lifted:
-            mode = make_mode(v, tag="component-local")
-            if mode.max_residual(R) <= RESIDUAL_TOL:
-                candidates.append(mode)
-
-    accepted: list[Mode] = []
-    ortho: list[np.ndarray] = []
-
-    def try_accept(mode: Mode) -> bool:
-        if len(accepted) >= total:
-            return False
-        r = mode.vector.copy()
-        for q in ortho:
-            r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm <= _INDEP_TOL:
-            return False
-        accepted.append(mode)
-        ortho.append(r / norm)
-        return True
-
-    for mode in candidates:
-        try_accept(mode)
+            try_accept(make_mode(v, tag="component-local"))
 
     if len(accepted) < total:
         log.info("multiscale-incomplete: %d of %d modes assembled; "
                  "filling from plain decomposition", len(accepted), total)
         for m in nullspace.snd_basis(R, shuffle_seed=seed).modes:
-            fallback = Mode(m.vector, m.support, m.size_s, m.node_support,
-                            tag="component-local")
-            try_accept(fallback)
+            try_accept(replace(m, tag="component-local"))
             if len(accepted) == total:
                 break
 

@@ -216,7 +216,7 @@ def _reference_section(network, hinge):
     sides = [sorted(c) for c in nx.connected_components(
         g.subgraph([u for u in g.nodes if u != hinge]))]
     unfixed = [s for s in sides if not any(network.fixed[u] for u in s)]
-    return min(unfixed or sides, key=lambda s: (len(s), s[0]))
+    return min(unfixed, key=lambda s: (len(s), s[0])) if unfixed else None
 
 
 @pytest.mark.parametrize("size,dilution,seed", [(7, 0.6, 0), (9, 0.7, 3),
