@@ -125,16 +125,17 @@ def _rotation_about(network: Network, center: int, section) -> np.ndarray:
 def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
     """The side of ``hinge`` that should rotate, or ``None``.
 
-    The sides are the connected components of the bond graph (neighbour lists
-    ``adjacency``) once the hinge is removed.  Every bar leaving a side ends
-    at the hinge, so turning a side that holds no fixed node stretches no
-    bar.  Take the smallest such side, breaking ties by lowest node id;
-    ``None`` if every side holds a fixed node.
+    The sides are the pieces of the bond graph (neighbour lists
+    ``adjacency``) left once the hinge is removed that hold a neighbour of
+    the hinge; pieces that never touch it are no side of it.  Every bar
+    leaving a side ends at the hinge, so turning a side that holds no fixed
+    node stretches no bar.  Take the smallest such side, breaking ties by
+    lowest node id; ``None`` if there is none.
     """
     seen = [False] * len(adjacency)
     seen[hinge] = True
     best = None
-    for start in range(len(adjacency)):
+    for start in adjacency[hinge]:
         if seen[start]:
             continue
         seen[start] = True
@@ -145,12 +146,12 @@ def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
                     seen[w] = True
                     side.append(w)
                     stack.append(w)
-        # sides are found in order of their lowest node, so the first
-        # smallest one wins ties
-        if not any(fixed[u] for u in side) and (
-                best is None or len(side) < len(best)):
+        if any(fixed[u] for u in side):
+            continue
+        side.sort()
+        if best is None or (len(side), side[0]) < (len(best), best[0]):
             best = side
-    return sorted(best) if best else None
+    return best
 
 
 def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
@@ -199,8 +200,6 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
                          | set(np.flatnonzero(network.fixed)))
     fixed = network.fixed.tolist()
     for hinge in hinge_nodes:
-        if not adjacency[hinge]:
-            continue
         section = _distal_section(adjacency, hinge, fixed)
         if not section:
             continue

@@ -209,12 +209,13 @@ class TestMultiscaleBasis:
 
 
 def _reference_section(network, hinge):
-    """The side search spelled out with networkx components."""
+    """The side search spelled out with networkx components: the pieces of
+    G - hinge that hold a neighbour of the hinge."""
     g = nx.Graph()
     g.add_nodes_from(range(network.n_nodes))
     g.add_edges_from((e.a, e.b) for e in network.edges)
     sides = [sorted(c) for c in nx.connected_components(
-        g.subgraph([u for u in g.nodes if u != hinge]))]
+        g.subgraph([u for u in g.nodes if u != hinge])) if c & set(g[hinge])]
     unfixed = [s for s in sides if not any(network.fixed[u] for u in s)]
     return min(unfixed, key=lambda s: (len(s), s[0])) if unfixed else None
 
@@ -227,9 +228,8 @@ def test_distal_section_matches_component_reference(size, dilution, seed):
     for e in net.edges:
         adjacency[e.a].append(e.b)
         adjacency[e.b].append(e.a)
-    hinges = [h for h in sorted(multiscale.find_hinges(net).articulation_nodes
-                                | set(np.flatnonzero(net.fixed)))
-              if adjacency[h]]
+    hinges = sorted(multiscale.find_hinges(net).articulation_nodes
+                    | set(np.flatnonzero(net.fixed)))
     assert hinges
     for h in hinges:
         assert (multiscale._distal_section(adjacency, h, net.fixed.tolist())
@@ -237,18 +237,20 @@ def test_distal_section_matches_component_reference(size, dilution, seed):
 
 
 # multiscale_basis(seed=0) then (seed=5), hashed by _basis_digest; recorded
-# from the networkx-based hinge search that find_hinges replaced
+# from the networkx-based hinge search that find_hinges replaced, except the
+# molecule and panels, re-recorded when the side search came to read only the
+# pieces of G - hinge that hold a neighbour of the hinge
 PINNED_BASES = {
     "robot_arm": "9a5e742ade8fa55ad00d004a7bd817e34ce1a0a3301d149915c0b19b6e1bdaed",
-    "molecule": "9f92e874a27991822b725e4021f661a8b69856f1ed825856b9347065d4854de3",
+    "molecule": "279436b19aab135f875c55d9aa4e868eafdfb5dc96653a730d1c6b0a493c882d",
     "lattice_4x4": "fc372c48edc68c2aad86398abdb7f42eb5829890f53ec83f33fec4898813c7d6",
     "hinged": "ceb1d882ee7cdce2d1e37940974e7930fe2d38ed11bc4cbd7f0e54726bc546fa",
     "reaching": "6795a00aa7baaff1b6c400b5ae6e7fa0ca93da9dc2243441de3bd4cc0150bca3",
-    "panel0": "dc5304228c169d97b88a0d2ca1c855c6ccff8d84278e678d83060b0ac59d71b8",
-    "panel1": "b93c2e9764cee2473273a3cca5a162a160b4ca2917ac71d258245608b155021d",
-    "panel2": "10963138542853649b0888cd986553c59813256e50e12bcfa0f9a9b12150c1f6",
-    "panel3": "87bd6a2c46459f0ecfa60f283c198b79fb0c09a49c3b4723a38a3320f68ee1e3",
-    "panel4": "59219d5aaf4401e647cfcefb6d59b6da20f69918c58b6558c58414517230f467",
+    "panel0": "0fddf4f5ee1e37d62fc86c1445cceafa1aa25c2b44f2252eb92a3bbfbad8666c",
+    "panel1": "b683863e4d1b8d97e88778cdf724a3b35c0359d6930113fecc4a575f9f791f1c",
+    "panel2": "4568558f4f86efa49d6ac49d56678b00656cb142172952291345c0c6ce92958e",
+    "panel3": "aa870ee28d4e0647b5d96cf0c2963687fd757dfa61cbecc78153211416d28763",
+    "panel4": "f2a0b7512b926b1f3b850904048ea2082134f933df778d562c89ecd5e66375a9",
     "arm0": "32b9c39114ba1ff351a469c470182ba1d8ad805159b6a6b3cf243e393c9f2c3f",
     "arm1": "e6f9db3f943396eb881ad546a1fb5d4f71e14a55c722a089afb2d1febf6400f3",
     "arm2": "a36e699ce06b8d6920a1021f60ea6806e7032304b3b72e46edf21cd6de6c7ca8",
