@@ -241,6 +241,8 @@ def cmd_render(args) -> None:
                                   f"0 to {len(modes) - 1}")
             v = np.zeros(net.n_coords)
             for coord, value in modes[int(index)]["entries"]:
+                if int(coord) < 0:
+                    raise IndexError(f"coordinate {coord} is negative")
                 v[int(coord)] = float(value)
             kwargs["mode_vector"] = v
         elif overlay == "globality":

@@ -230,7 +230,8 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
                  "filling from plain decomposition", len(accepted), total)
         for m in nullspace.snd_basis(R, shuffle_seed=seed).modes:
             try_accept(replace(m, tag="component-local"))
-            if len(accepted) == total:
-                break
+        if len(accepted) < total:
+            log.warning("multiscale-short: the basis holds %d modes, but the "
+                        "SVD counts %d", len(accepted), total)
 
     return ModeBasis(sort_modes(accepted), "multiscale", seed)

@@ -213,24 +213,30 @@ def from_dict(data: dict) -> Network:
     positions = np.zeros((n, 2))
     fixed = np.zeros(n, dtype=bool)
     seen_ids = set()
-    for entry in raw_nodes:
-        for key in ("id", "x", "y"):
-            if key not in entry:
-                raise SchemaError(f"node entry missing field '{key}'")
-        i = entry["id"]
-        if not isinstance(i, int) or not (0 <= i < n):
-            raise SchemaError(f"node id {i!r} not contiguous from 0")
-        if i in seen_ids:
-            raise SchemaError(f"duplicate node id {i}")
-        seen_ids.add(i)
-        positions[i] = (float(entry["x"]), float(entry["y"]))
-        fixed[i] = bool(entry.get("fixed", False))
     edges = []
-    for entry in data["edges"]:
-        for key in ("a", "b"):
-            if key not in entry:
-                raise SchemaError(f"edge entry missing field '{key}'")
-        edges.append((entry["a"], entry["b"], entry.get("rest_length")))
+    try:
+        for entry in raw_nodes:
+            for key in ("id", "x", "y"):
+                if key not in entry:
+                    raise SchemaError(f"node entry missing field '{key}'")
+            i = entry["id"]
+            if not isinstance(i, int) or not (0 <= i < n):
+                raise SchemaError(f"node id {i!r} not contiguous from 0")
+            if i in seen_ids:
+                raise SchemaError(f"duplicate node id {i}")
+            seen_ids.add(i)
+            positions[i] = (float(entry["x"]), float(entry["y"]))
+            fixed[i] = bool(entry.get("fixed", False))
+        for entry in data["edges"]:
+            for key in ("a", "b"):
+                if key not in entry:
+                    raise SchemaError(f"edge entry missing field '{key}'")
+            rest = entry.get("rest_length")
+            edges.append((int(entry["a"]), int(entry["b"]),
+                          None if rest is None else float(rest)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        # an entry that is not an object, or a value that does not convert
+        raise SchemaError(f"malformed node or edge entry ({exc})") from exc
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("field 'metadata' must be an object")

@@ -37,15 +37,21 @@ def free_triangle():
                                   [(0, 1), (1, 2), (0, 2)])
 
 
-@pytest.fixture(params=[3e-10, 1e-9], ids=["3e-10", "1e-9"])
-def near_degenerate_chain(request):
+NEAR_DEGENERATE_DELTAS = (3e-10, 1e-9)
+
+
+def near_degenerate(delta):
     """Two pinned bars meeting at a free node lifted by ``delta``, plus an
     isolated fixed node near it.  The values-only SVD counts one floppy mode
     (``dof`` 1), while SND, at its absolute drop tolerance, builds none."""
-    delta = request.param
     return networks.build_network(
         [(0.0, 0.0), (1.0, delta), (2.0, 0.0), (1.0, -0.9)],
         [(0, 1), (1, 2)], [True, False, True, True], {"generator": "custom"})
+
+
+@pytest.fixture(params=NEAR_DEGENERATE_DELTAS, ids=["3e-10", "1e-9"])
+def near_degenerate_chain(request):
+    return near_degenerate(request.param)
 
 
 def lattice(size, dilution, seed):
@@ -74,6 +80,11 @@ def named_network(name):
             "lattice_4x4": networks.lattice_fixture_4x4,
             "hinged": networks.hinged_fixture,
             "reaching": experiments.reaching_network}[name]()
+
+
+def max_residual(R, basis):
+    """The largest constraint violation over the modes of ``basis`` (0 if empty)."""
+    return max((m.max_residual(R) for m in basis.modes), default=0.0)
 
 
 def constraint_values(network, positions):

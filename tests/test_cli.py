@@ -99,6 +99,29 @@ class TestDecompose:
         assert "schema-violation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("node, edges", [
+        pytest.param('{"id": 1, "x": null, "y": 0.0}', '[{"a": 0, "b": 1}]',
+                     id="x-null"),
+        pytest.param('{"id": 1, "x": "abc", "y": 0.0}', '[{"a": 0, "b": 1}]',
+                     id="x-not-a-number"),
+        pytest.param('5', '[{"a": 0, "b": 1}]', id="node-not-an-object"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}', '[{"a": 0, "b": "z"}]',
+                     id="edge-end-not-an-id"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}', '7', id="edges-not-a-list"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}',
+                     '[{"a": 0, "b": 1, "rest_length": "q"}]',
+                     id="rest-length-not-a-number"),
+    ])
+    def test_malformed_network_is_a_schema_violation(self, tmp_path, capsys,
+                                                     node, edges):
+        netfile = tmp_path / "net.json"
+        netfile.write_text('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "fixed": true}, '
+                           f'{node}], "edges": {edges}}}')
+        out = tmp_path / "basis.json"
+        assert run(["decompose", "--network", netfile, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error [schema-violation]")
+        assert list(tmp_path.iterdir()) == [netfile]
+
     def test_input_not_mutated(self, tmp_path):
         netfile = tmp_path / "net.json"
         networks.save(networks.fixture("molecule_fixture"), netfile)
@@ -322,6 +345,8 @@ class TestRenderCommand:
                      "holds a malformed entry", id="mode-without-entries"),
         pytest.param("globality", "--prediction", '{"globality": {"0": "high"}}',
                      "holds a malformed entry", id="globality-value"),
+        pytest.param("mode:0", "--basis", '{"modes": [{"entries": [[-1, 1.0]]}]}',
+                     "holds a malformed entry", id="mode-negative-coordinate"),
     ])
     def test_overlay_file_without_its_key_is_a_schema_violation(
             self, tmp_path, capsys, overlay, option, text, says):

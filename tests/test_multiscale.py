@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import networkx as nx
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from floppynet import multiscale, networks, nullspace, rigidity
 from floppynet.networks import GeneratorSpec
 
-from conftest import lattice, named_network, panel
+from conftest import (NEAR_DEGENERATE_DELTAS, lattice, max_residual,
+                      named_network, near_degenerate, panel)
 
 
 def _networkx_hinges(network):
@@ -160,10 +162,26 @@ class TestMultiscaleBasis:
                 if m.tag == "rotational" and set(m.node_support) == {9, 10, 11}]
         assert len(flag) == 1
 
-    def test_residuals(self, hinged):
-        R = rigidity.build(hinged)
-        basis = multiscale.multiscale_basis(hinged)
-        assert max(m.max_residual(R) for m in basis.modes) <= 1e-8
+    def test_residuals(self):
+        nets = [named_network(name) for name in sorted(PINNED_BASES)]
+        nets += [near_degenerate(delta) for delta in NEAR_DEGENERATE_DELTAS]
+        for net in nets:
+            basis = multiscale.multiscale_basis(net)
+            assert max_residual(rigidity.build(net), basis) <= 1e-8
+
+    def test_short_basis_warns(self, near_degenerate_chain, caplog):
+        # the SVD counts one mode, and neither the hinge layer nor SND builds it
+        with caplog.at_level(logging.WARNING, logger="floppynet.multiscale"):
+            basis = multiscale.multiscale_basis(near_degenerate_chain)
+        assert len(basis) == 0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [
+            "multiscale-short: the basis holds 0 modes, but the SVD counts 1"]
+
+    def test_full_basis_does_not_warn(self, molecule, caplog):
+        with caplog.at_level(logging.WARNING, logger="floppynet.multiscale"):
+            multiscale.multiscale_basis(molecule)
+        assert not caplog.records
 
     def test_span_matches_plain_decomposition(self, robot_arm):
         R = rigidity.build(robot_arm)
@@ -196,16 +214,20 @@ class TestMultiscaleBasis:
         assert len(lone) == 2
 
     def test_pinned_hinge_rotation_discarded(self):
-        # a shared node whose far side is tied down by a second path cannot
-        # rotate; the candidate must fail the residual test and be dropped
+        # each fixed node's only side holds the other fixed node, so neither
+        # may rotate it: no side is chosen and no rotation is offered
         net = networks.build_network(
             [(0, 0), (1, 0), (0.5, 0.8), (1.5, 0.8), (2, 0)],
             [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)],
             [True, True, False, False, False])
+        adjacency = multiscale._neighbours(net)
+        for hinge in (0, 1):
+            assert multiscale._distal_section(adjacency, hinge,
+                                              net.fixed.tolist()) is None
         R = rigidity.build(net)
         basis = multiscale.multiscale_basis(net)
         assert len(basis) == rigidity.dof(R)
-        assert max((m.max_residual(R) for m in basis.modes), default=0.0) <= 1e-8
+        assert max_residual(R, basis) <= 1e-8
 
 
 def _reference_section(network, hinge):

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from floppynet import networks, nullspace, rigidity
 from floppynet.errors import NumericalBreakdown
 
-
-def max_residual(R, basis):
-    return max((m.max_residual(R) for m in basis.modes), default=0.0)
+from conftest import max_residual
 
 
 class TestSndBasis:
