@@ -106,29 +106,23 @@ def project_to_manifold(positions: np.ndarray, network: Network) -> np.ndarray:
         f"{PROJECTION_MAX_ITER} Newton iterations")
 
 
-def match_modes(current: ModeBasis, reference: ModeBasis) -> dict[int, int]:
+def match_modes(current: ModeBasis, reference: ModeBasis) -> np.ndarray:
     """Greedy maximum-|cosine| assignment of current modes to reference modes.
 
-    Sign flips are ignored; every reference index is used at most once.
+    Entry ``i`` of the result is the reference index of current mode ``i``.
+    Sign flips are ignored; every reference index is used once.
     """
     if len(current) != len(reference):
         raise FloppyNetError(
             f"mode count mismatch: {len(current)} vs {len(reference)}")
-    k = len(current)
     cos = np.abs(current.vectors() @ reference.vectors().T)
-    assign: dict[int, int] = {}
-    used_rows, used_cols = set(), set()
-    order = np.dstack(np.unravel_index(np.argsort(-cos, axis=None), cos.shape))[0]
-    for i, j in order:
-        i, j = int(i), int(j)
-        if i in used_rows or j in used_cols:
-            continue
-        assign[i] = j
-        used_rows.add(i)
-        used_cols.add(j)
-        if len(assign) == k:
-            break
-    return assign
+    match = np.full(len(current), -1)
+    taken = np.zeros(len(current), dtype=bool)
+    for i, j in zip(*np.unravel_index(np.argsort(-cos, axis=None), cos.shape)):
+        if match[i] < 0 and not taken[j]:
+            match[i] = j
+            taken[j] = True
+    return match
 
 
 def _compute_basis(network: Network, method: str, seed: int) -> ModeBasis:
@@ -143,8 +137,10 @@ def _compute_basis(network: Network, method: str, seed: int) -> ModeBasis:
 def run_task(task: ControlTask) -> ControlTrace:
     """Greedy mode activation until the effectors reach the target.
 
-    Fails (``success=False``) when no mode improves the distance even after
-    halving the step size ``6`` times.
+    Each attempt moves the effectors along every mode in both directions at
+    once and takes the closest trial, ties broken by mode size, canonical id
+    and sign (+ first).  Fails (``success=False``) when no mode improves the
+    distance even after halving the step size ``6`` times.
     """
     net = task.network.copy()
     x = net.positions
@@ -153,11 +149,12 @@ def run_task(task: ControlTask) -> ControlTrace:
     else:
         alpha = task.step_size
     halvings_left = _MAX_HALVINGS
+    eff = list(task.effectors)
 
-    dist = effector_distance(x, task.effectors, task.target)
+    dist = effector_distance(x, eff, task.target)
     records: list[StepRecord] = []
     activation: dict[int, list[int]] = {}
-    recanon: list[int] = []
+    restarts: list[int] = []            # steps where the canonical basis was (re)set
     canonical: ModeBasis | None = None
     mode_sizes: list[int] = []
     success = dist <= task.tolerance
@@ -166,39 +163,33 @@ def run_task(task: ControlTask) -> ControlTrace:
     while not success and step < task.max_steps:
         working = net.with_positions(x)
         basis = _compute_basis(working, task.basis_method, task.seed + step)
-        if not basis.modes:
+        k = len(basis)
+        if not k:
             break
-        if canonical is None:
-            canonical = basis
-            mode_sizes = [m.size_s for m in basis.modes]
-            ids = {i: i for i in range(len(basis))}
-        elif len(basis) != len(canonical):
-            canonical = basis
-            ids = {i: i for i in range(len(basis))}
-            recanon.append(step)
+        sizes = [m.size_s for m in basis.modes]
+        if canonical is None or k != len(canonical):
+            canonical, ids = basis, list(range(k))
+            restarts.append(step)
+            mode_sizes = mode_sizes or sizes
         else:
-            ids = match_modes(basis, canonical)
+            ids = match_modes(basis, canonical).tolist()
+        V = basis.vectors().reshape(k, -1, 2)
+        # tie-break keys of the flat (sign, mode) trials, last key first
+        keys = (np.repeat([0, 1], k), np.tile(ids, 2), np.tile(sizes, 2))
 
         applied = False
         while not applied:
-            best = None
-            for mi, mode in enumerate(basis.modes):
-                v = mode.vector.reshape(-1, 2)
-                for sign in (1.0, -1.0):
-                    trial = effector_distance(x + sign * alpha * v,
-                                              task.effectors, task.target)
-                    if trial < dist:
-                        key = (trial, mode.size_s, ids[mi], 0 if sign > 0 else 1)
-                        if best is None or key < best[0]:
-                            best = (key, mi, sign)
-            if best is not None:
-                _, mi, sign = best
-                v = basis.modes[mi].vector.reshape(-1, 2)
-                x_new = project_to_manifold(x + sign * alpha * v, working)
-                new_dist = effector_distance(x_new, task.effectors, task.target)
+            signed = np.array([alpha, -alpha])
+            reach = x[eff] + signed[:, None, None, None] * V[:, eff]
+            trial = np.linalg.norm(reach - task.target, axis=-1).mean(axis=-1).ravel()
+            best = np.lexsort(keys + (trial,))[0]
+            if trial[best] < dist:
+                s, mi = divmod(int(best), k)
+                x_new = project_to_manifold(x + signed[s] * V[mi], working)
+                new_dist = effector_distance(x_new, eff, task.target)
                 if new_dist < dist:
                     energy = float(0.5 * ((x_new - x) ** 2).sum())
-                    records.append(StepRecord(step, ids[mi], sign * alpha,
+                    records.append(StepRecord(step, ids[mi], float(signed[s]),
                                               new_dist, energy))
                     activation.setdefault(ids[mi], []).append(step)
                     x = x_new
@@ -215,5 +206,5 @@ def run_task(task: ControlTask) -> ControlTrace:
         step += 1
 
     total = float(sum(r.energy for r in records))
-    return ControlTrace(records, total, activation, success, x, recanon,
+    return ControlTrace(records, total, activation, success, x, restarts[1:],
                         mode_sizes)

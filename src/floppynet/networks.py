@@ -136,7 +136,13 @@ class Network:
         return out
 
     def with_edges(self, edges: Iterable[tuple]) -> "Network":
-        """A copy holding a different edge list (rest lengths re-defaulted)."""
+        """A copy holding a different edge list, in the given order.
+
+        A pair given without a rest length keeps the one this network holds
+        for it; a new pair defaults to geometry (see :func:`build_network`).
+        """
+        held = {(e.a, e.b): e.rest_length for e in self.edges}
+        edges = [e if len(e) == 3 else (*e, held.get((min(e), max(e)))) for e in edges]
         return build_network(self.positions, edges, self.fixed, dict(self.metadata))
 
     def diameter(self) -> float:
@@ -200,7 +206,22 @@ def to_dict(network: Network) -> dict:
     return {"nodes": nodes, "edges": edges, "metadata": dict(network.metadata)}
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} {value!r} is not a JSON integer")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} {value!r} is not a JSON number")
+    return float(value)
+
+
 def from_dict(data: dict) -> Network:
+    """Read :func:`to_dict`'s layout, taking every value only as its JSON type:
+    integer ids and edge ends, numeric coordinates and rest lengths (a
+    missing or null rest length defaults), and a boolean ``fixed``."""
     if not isinstance(data, dict):
         raise SchemaError("top-level value must be an object")
     for key in ("nodes", "edges"):
@@ -219,23 +240,29 @@ def from_dict(data: dict) -> Network:
             for key in ("id", "x", "y"):
                 if key not in entry:
                     raise SchemaError(f"node entry missing field '{key}'")
-            i = entry["id"]
-            if not isinstance(i, int) or not (0 <= i < n):
+            i = _json_int(entry["id"], "node id")
+            if not 0 <= i < n:
                 raise SchemaError(f"node id {i!r} not contiguous from 0")
             if i in seen_ids:
                 raise SchemaError(f"duplicate node id {i}")
             seen_ids.add(i)
-            positions[i] = (float(entry["x"]), float(entry["y"]))
-            fixed[i] = bool(entry.get("fixed", False))
+            positions[i] = (_json_number(entry["x"], f"node {i} x"),
+                            _json_number(entry["y"], f"node {i} y"))
+            is_fixed = entry.get("fixed", False)
+            if not isinstance(is_fixed, bool):
+                raise SchemaError(f"node {i} fixed {is_fixed!r} is not a JSON bool")
+            fixed[i] = is_fixed
         for entry in data["edges"]:
             for key in ("a", "b"):
                 if key not in entry:
                     raise SchemaError(f"edge entry missing field '{key}'")
+            a, b = _json_int(entry["a"], "edge end"), _json_int(entry["b"], "edge end")
             rest = entry.get("rest_length")
-            edges.append((int(entry["a"]), int(entry["b"]),
-                          None if rest is None else float(rest)))
-    except (AttributeError, TypeError, ValueError) as exc:
-        # an entry that is not an object, or a value that does not convert
+            edges.append((a, b, None if rest is None
+                          else _json_number(rest, f"edge ({a},{b}) rest_length")))
+    except (AttributeError, TypeError, OverflowError) as exc:
+        # an entry that is not an object, edges that are not a list, or an
+        # integer too large for a float
         raise SchemaError(f"malformed node or edge entry ({exc})") from exc
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):

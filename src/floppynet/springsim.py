@@ -49,7 +49,6 @@ _NOISE_BLOCK = 256
 @dataclass
 class SimConfig:
     stiffness: float = 1.0          # spring constant k
-    l0: float = 1.0                 # reference rest length in the energy prefactor
     dt: float = 0.05                # time step (drag coefficient is 1)
     steps: int = 20000
     noise_amplitude: float = 1e-4   # uniform displacement noise, per coordinate
@@ -77,10 +76,10 @@ class SimResult:
     max_free_force: float = 0.0     # largest free-node force norm at the end
 
 
-def _spring_energy(x, a, b, rest, k_over_l0) -> float:
+def _spring_energy(x, a, b, rest, stiffness) -> float:
     d = x[a] - x[b]
     lengths = np.sqrt((d * d).sum(axis=1))
-    return float(0.5 * k_over_l0 * ((lengths - rest) ** 2).sum())
+    return float(0.5 * stiffness * ((lengths - rest) ** 2).sum())
 
 
 def _flat_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +88,7 @@ def _flat_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
     return (2 * a[:, None] + axes).ravel(), (2 * b[:, None] + axes).ravel()
 
 
-def _spring_forces(x, ia, ib, rest, k_over_l0) -> np.ndarray:
+def _spring_forces(x, ia, ib, rest, stiffness) -> np.ndarray:
     """The force kernel: per-node negative gradient of the stretching energy.
 
     ``ia`` and ``ib`` come from ``_flat_ends``; each (node, axis) bin of the
@@ -99,7 +98,7 @@ def _spring_forces(x, ia, ib, rest, k_over_l0) -> np.ndarray:
     d = xf[ia] - xf[ib]
     dd = d * d
     lengths = np.sqrt(dd[0::2] + dd[1::2])
-    pair = (-k_over_l0 * (lengths - rest) / lengths).repeat(2) * d
+    pair = (-stiffness * (lengths - rest) / lengths).repeat(2) * d
     out = np.bincount(ia, weights=pair, minlength=xf.size)
     out -= np.bincount(ib, weights=pair, minlength=xf.size)
     return out.reshape(x.shape)
@@ -107,14 +106,18 @@ def _spring_forces(x, ia, ib, rest, k_over_l0) -> np.ndarray:
 
 def stretching_energy(positions: np.ndarray, network: Network,
                       config: SimConfig) -> float:
-    return _spring_energy(positions, *network.edge_arrays(), config.stiffness / config.l0)
+    return _spring_energy(positions, *network.edge_arrays(), config.stiffness)
 
 
 def forces(positions: np.ndarray, network: Network, config: SimConfig) -> np.ndarray:
     """Negative gradient of the stretching energy, per node."""
     a, b, rest = network.edge_arrays()
-    return _spring_forces(positions, *_flat_ends(a, b), rest,
-                          config.stiffness / config.l0)
+    return _spring_forces(positions, *_flat_ends(a, b), rest, config.stiffness)
+
+
+def _scaled(extension: np.ndarray, diameter: float) -> np.ndarray:
+    """Extensions divided by ``diameter``, or a copy when it is 0."""
+    return extension / diameter if diameter > 0 else extension.copy()
 
 
 def _diverged(x, free, step, config) -> IntegrationDiverged:
@@ -128,15 +131,13 @@ def _diverged(x, free, step, config) -> IntegrationDiverged:
         " are non-finite")
 
 
-def relax(network: Network, config: SimConfig, record_energy: bool = False,
-          diameter: float | None = None) -> SimResult:
+def relax(network: Network, config: SimConfig,
+          record_energy: bool = False) -> SimResult:
     """Run the overdamped integration of one network: a batch of one."""
-    return relax_all([network], config, record_energy=record_energy,
-                     diameters=None if diameter is None else [diameter])[0]
+    return relax_all([network], config, record_energy=record_energy)[0]
 
 
 def relax_all(networks: list[Network], config: SimConfig,
-              diameters: list[float] | None = None,
               record_energy: bool = False) -> list[SimResult]:
     """Run the overdamped integration of every network in lockstep.
 
@@ -149,8 +150,8 @@ def relax_all(networks: list[Network], config: SimConfig,
     network alone, bit for bit.  The reported energy is evaluated on the
     final positions as-is, with no extra noise applied in the measurement,
     and ``max_free_force`` is the largest free-node force norm there (0.0
-    when no node is free).  ``diameters`` scale the extensions, one per
-    network; each defaults to that network's diameter.
+    when no node is free).  Each network's extensions are also reported
+    scaled by its diameter.
     """
     if not networks:
         return []
@@ -171,7 +172,7 @@ def relax_all(networks: list[Network], config: SimConfig,
     rest = np.concatenate([r for _, _, r in arrays])
     # a network without edges is never written by the drift, as when alone
     moved_xy = free_xy & np.array([len(a) > 0 for a, _, _ in arrays])[:, None, None]
-    k_over_l0 = config.stiffness / config.l0
+    stiffness = config.stiffness
     amp = config.noise_amplitude
     noisy = amp > 0 and n_free > 0
     if noisy:
@@ -183,7 +184,7 @@ def relax_all(networks: list[Network], config: SimConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
             if len(rest):
-                drift = _spring_forces(x, ia, ib, rest, k_over_l0)
+                drift = _spring_forces(x, ia, ib, rest, stiffness)
                 drift *= config.dt
                 np.add(x, drift, out=x, where=moved_xy)
             if noisy:
@@ -194,24 +195,22 @@ def relax_all(networks: list[Network], config: SimConfig,
                 np.add(x, noise[row], out=x, where=free_xy)
             if record_energy:
                 for k, (a, b, r) in enumerate(arrays):
-                    trace[k, step] = _spring_energy(x[k], a, b, r, k_over_l0)
+                    trace[k, step] = _spring_energy(x[k], a, b, r, stiffness)
             if step % 500 == 499 and not np.isfinite(x).all():
                 raise _diverged(x, free, step + 1, config)
     if not np.isfinite(x).all():
         raise _diverged(x, free, config.steps, config)
 
-    final = _spring_forces(x, ia, ib, rest, k_over_l0)
+    final = _spring_forces(x, ia, ib, rest, stiffness)
     results = []
     for k, (net, (a, b, r)) in enumerate(zip(networks, arrays)):
-        energy = _spring_energy(x[k], a, b, r, k_over_l0)
+        energy = _spring_energy(x[k], a, b, r, stiffness)
         extension = np.linalg.norm(x[k][a] - x[k][b], axis=1) - r
-        diameter = net.diameter() if diameters is None else diameters[k]
-        scaled = extension / diameter if diameter > 0 else extension.copy()
-        floor = NOISE_FLOOR_FACTOR * len(a) * k_over_l0 * amp ** 2
+        floor = NOISE_FLOOR_FACTOR * len(a) * stiffness * amp ** 2
         max_free_force = (float(np.linalg.norm(final[k][free], axis=1).max())
                           if n_free else 0.0)
         results.append(SimResult(
-            x[k], energy, extension, scaled,
+            x[k], energy, extension, _scaled(extension, net.diameter()),
             noise_floor_flagged=bool(energy <= floor),
             energy_trace=None if trace is None else trace[k],
             max_free_force=max_free_force))
@@ -257,13 +256,13 @@ def shear_moduli(networks: list[Network], config: SimConfig) -> list[SimResult]:
         if len(bottom) == 0 or len(top) == 0 or y1 - y0 < 0.5 * ROW_SPACING:
             raise BoundaryRowsError("network has no identifiable top/bottom rows")
 
-        height = (ny - 1) * config.l0 * ROW_SPACING
+        height = (ny - 1) * ROW_SPACING
         net = network.copy()
         net.positions[top, 0] += config.strain * height
         net.fixed[top] = True
         net.fixed[bottom] = True
         sheared.append(net)
-        areas.append((nx - 1) * config.l0 * height)
+        areas.append((nx - 1) * height)
 
     results = relax_all(sheared, config)
     for result, area in zip(results, areas):
@@ -287,4 +286,6 @@ def radial_stretch(network: Network, config: SimConfig,
     stretched = network.copy()
     stretched.positions[boundary] = (
         centre + (1.0 + stretch) * (network.positions[boundary] - centre))
-    return relax(stretched, config, diameter=diameter)
+    result = relax(stretched, config)
+    result.scaled_extension = _scaled(result.per_edge_extension, diameter)
+    return result

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,19 @@ def named_network(name):
 def max_residual(R, basis):
     """The largest constraint violation over the modes of ``basis`` (0 if empty)."""
     return max((m.max_residual(R) for m in basis.modes), default=0.0)
+
+
+def trace_digest(trace):
+    """SHA-256 over everything a ``ControlTrace`` reports, floats by their bits."""
+    h = hashlib.sha256()
+    h.update(np.array(trace.records, dtype=float).tobytes())
+    h.update(trace.final_positions.tobytes())
+    h.update(np.array([trace.success, trace.total_energy], dtype=float).tobytes())
+    h.update(repr(sorted((int(k), [int(s) for s in v])
+                         for k, v in trace.activation_times.items())).encode())
+    h.update(repr([int(s) for s in trace.recanonicalized_at]).encode())
+    h.update(repr([int(s) for s in trace.mode_sizes]).encode())
+    return h.hexdigest()
 
 
 def constraint_values(network, positions):

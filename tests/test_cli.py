@@ -111,6 +111,21 @@ class TestDecompose:
         pytest.param('{"id": 1, "x": 1.0, "y": 0.0}',
                      '[{"a": 0, "b": 1, "rest_length": "q"}]',
                      id="rest-length-not-a-number"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0, "fixed": "false"}',
+                     '[{"a": 0, "b": 1}]', id="fixed-a-string"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}', '[{"a": 0.9, "b": 1}]',
+                     id="edge-end-a-float"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}', '[{"a": 0, "b": true}]',
+                     id="edge-end-a-bool"),
+        pytest.param('{"id": true, "x": 1.0, "y": 0.0}',
+                     '[{"a": 0, "b": 1, "rest_length": 1.0}]', id="id-a-bool"),
+        pytest.param('{"id": 1, "x": "1.5", "y": 0.0}', '[{"a": 0, "b": 1}]',
+                     id="x-a-numeric-string"),
+        pytest.param('{"id": 1, "x": 1' + '0' * 400 + ', "y": 0.0}',
+                     '[{"a": 0, "b": 1}]', id="x-too-large-for-a-float"),
+        pytest.param('{"id": 1, "x": 1.0, "y": 0.0}',
+                     '[{"a": 0, "b": 1, "rest_length": "1.0"}]',
+                     id="rest-length-a-numeric-string"),
     ])
     def test_malformed_network_is_a_schema_violation(self, tmp_path, capsys,
                                                      node, edges):

@@ -403,6 +403,15 @@ class TestSharedEdges:
         assert np.array_equal(lattice_4x4.fixed, fixed)
         assert "extra" not in lattice_4x4.metadata
 
+    def test_with_edges_keeps_held_rest_lengths(self):
+        # edge (0, 1) is held at rest 1.2 while its ends are 1.0 apart
+        net = networks.build_network([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)],
+                                     [(0, 1, 1.2)], [True, False, False])
+        grown = net.with_edges([(2, 1), (1, 0)])
+        assert grown.edges == (networks.Edge(1, 2, np.sqrt(5.0)),
+                               networks.Edge(0, 1, 1.2))
+        assert net.with_edges([(0, 1, 0.7)]).edges == (networks.Edge(0, 1, 0.7),)
+
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, tmp_path, lattice_4x4):

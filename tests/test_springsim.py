@@ -21,12 +21,12 @@ def fd_forces(positions, network, config, eps=1e-6):
     return out
 
 
-def _reference_forces(x, a, b, rest, k_over_l0):
+def _reference_forces(x, a, b, rest, stiffness):
     """Oracle force kernel: one ``bincount`` per endpoint and axis."""
     n = len(x)
     d = x[a] - x[b]
     lengths = np.sqrt((d * d).sum(axis=1))
-    pair = (-k_over_l0 * (lengths - rest) / lengths)[:, None] * d
+    pair = (-stiffness * (lengths - rest) / lengths)[:, None] * d
     out = np.empty((n, 2))
     for axis in (0, 1):
         out[:, axis] = (np.bincount(a, weights=pair[:, axis], minlength=n)
@@ -34,31 +34,30 @@ def _reference_forces(x, a, b, rest, k_over_l0):
     return out
 
 
-def _reference_relax(network, config, record_energy=False, diameter=None):
+def _reference_relax(network, config, record_energy=False):
     """Oracle: the per-step loop, gathering and scattering the free nodes and
     drawing each step's noise on its own."""
     x = network.positions.copy()
     free = ~network.fixed
     n_free = int(free.sum())
     a, b, rest = network.edge_arrays()
-    k_over_l0 = config.stiffness / config.l0
+    stiffness = config.stiffness
     rng = np.random.default_rng(config.seed)
     trace = np.empty(config.steps) if record_energy else None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
             if len(a):
-                x[free] += config.dt * _reference_forces(x, a, b, rest, k_over_l0)[free]
+                x[free] += config.dt * _reference_forces(x, a, b, rest, stiffness)[free]
             if config.noise_amplitude > 0 and n_free:
                 x[free] += rng.uniform(-config.noise_amplitude,
                                        config.noise_amplitude, (n_free, 2))
             if record_energy:
-                trace[step] = springsim._spring_energy(x, a, b, rest, k_over_l0)
-    energy = springsim._spring_energy(x, a, b, rest, k_over_l0)
+                trace[step] = springsim._spring_energy(x, a, b, rest, stiffness)
+    energy = springsim._spring_energy(x, a, b, rest, stiffness)
     extension = np.linalg.norm(x[a] - x[b], axis=1) - rest
-    if diameter is None:
-        diameter = network.diameter()
+    diameter = network.diameter()
     scaled = extension / diameter if diameter > 0 else extension.copy()
-    floor = (springsim.NOISE_FLOOR_FACTOR * len(a) * k_over_l0
+    floor = (springsim.NOISE_FLOOR_FACTOR * len(a) * stiffness
              * config.noise_amplitude ** 2)
     return springsim.SimResult(x, energy, extension, scaled,
                                noise_floor_flagged=bool(energy <= floor),
@@ -126,7 +125,7 @@ class TestRelax:
                                                lattice_4x4.positions.shape)
         net = lattice_4x4.with_positions(x)
         config = SimConfig(steps=1, noise_amplitude=0.0, dt=0.05,
-                           stiffness=1.7, l0=0.9)
+                           stiffness=1.7)
         res = springsim.relax(net, config)
         free = ~net.fixed
         expected = x + config.dt * springsim.forces(x, net, config)
@@ -229,7 +228,7 @@ class TestMatchesPerStepLoop:
             kind="triangular_lattice", seed=0, **experiments.TUNING_DEFAULTS))
         cfg = SimConfig(steps=600)
         res = springsim.shear_modulus(net, cfg)
-        monkeypatch.setattr(springsim, "relax_all", lambda nets, c, diameters=None: [
+        monkeypatch.setattr(springsim, "relax_all", lambda nets, c: [
             _reference_relax(n, c) for n in nets])
         assert_same_run(res, springsim.shear_modulus(net, cfg))
 
@@ -292,13 +291,6 @@ class TestRelaxAll:
         res = springsim.relax_all(nets, SimConfig(steps=5, noise_amplitude=0.0))
         assert np.signbit(res[2].positions[node, 0])
 
-    def test_diameters_scale_each_member(self):
-        nets = _batch_of_one_node_set()[:2]
-        cfg = SimConfig(steps=50, seed=1)
-        batch = springsim.relax_all(nets, cfg, diameters=[2.0, 5.0])
-        for net, res, diameter in zip(nets, batch, (2.0, 5.0)):
-            assert_same_bits(res, springsim.relax(net, cfg, diameter=diameter))
-
     def test_empty_batch(self):
         assert springsim.relax_all([], SimConfig(steps=5)) == []
 
@@ -326,7 +318,7 @@ class TestRelaxAll:
 def _reference_shear_modulus(network, config, monkeypatch):
     """Oracle: ``shear_modulus`` of one network, relaxed by the per-step loop."""
     with monkeypatch.context() as m:
-        m.setattr(springsim, "relax_all", lambda nets, cfg, diameters=None: [
+        m.setattr(springsim, "relax_all", lambda nets, cfg: [
             _reference_relax(net, cfg) for net in nets])
         return springsim.shear_modulus(network, config).shear_modulus
 
