@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
@@ -19,36 +18,21 @@ import numpy as np
 from . import (control, experiments, loadpredict, multiscale, networks,
                nullspace, render, rigidify, rigidity, springsim)
 from .errors import FloppyNetError, SchemaError
-
-
-def _write_json(data, path):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path, what):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+from .networks import json_int, json_number
 
 
 def _read_key(path, what, key, data=None):
     """``data[key]``, ``data`` read from ``path`` if not given; SchemaError if missing."""
     if data is None:
-        data = _read_json(path, what)
+        data = networks.read_json(path, what)
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{what} {path} has no key '{key}'")
     return data[key]
 
 
 def _load_network(args) -> networks.Network:
-    if getattr(args, "fixture", None):
+    if args.fixture is not None:
         return networks.fixture(args.fixture)
-    if not args.network:
-        raise FloppyNetError("need --network or --fixture")
     return networks.load(args.network)
 
 
@@ -82,28 +66,26 @@ def cmd_decompose(args) -> None:
         data = nullspace.basis_to_dict(basis)
     if not net.fixed.any():
         data["warning"] = "network has no fixed nodes; basis includes rigid-body motions"
-    _write_json(data, args.out)
+    networks.write_json(data, args.out)
+
+
+#: JSON type of each optional task number; one left out takes the ControlTask default.
+_TASK_NUMBERS = {"tolerance": json_number, "max_steps": json_int,
+                 "step_size": json_number}
 
 
 def _load_task(path, net: networks.Network, seed: int) -> control.ControlTask:
     """The task spec at ``path`` on ``net``; a malformed spec is a SchemaError."""
-    spec = _read_json(path, "task")
+    spec = networks.read_json(path, "task")
     if not isinstance(spec, dict) or not {"effectors", "target"} <= spec.keys():
         raise SchemaError(f"task {path} needs 'effectors' and 'target'")
     try:
-        effectors = [int(e) for e in spec["effectors"]]
-        for e in effectors:
-            if not 0 <= e < net.n_nodes:
-                raise ValueError(f"effector {e} is not a node of the network")
         return control.ControlTask(
-            net, effectors=effectors,
-            target=np.asarray(spec["target"], float),
-            tolerance=float(spec.get("tolerance", 0.05)),
-            max_steps=int(spec.get("max_steps", 200)),
-            step_size=spec.get("step_size"),
-            basis_method=spec.get("basis_method", "SND"),
-            seed=seed)
-    except (TypeError, ValueError) as exc:
+            net, effectors=[json_int(e, "effector") for e in spec["effectors"]],
+            target=[json_number(x, "target coordinate") for x in spec["target"]],
+            basis_method=spec.get("basis_method", "SND"), seed=seed,
+            **{k: read(spec[k], k) for k, read in _TASK_NUMBERS.items() if k in spec})
+    except (SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"task {path}: {exc}") from exc
 
 
@@ -123,7 +105,7 @@ def cmd_control(args) -> None:
         "activation_times": {str(k): v for k, v in trace.activation_times.items()},
         "recanonicalized_at": trace.recanonicalized_at,
     }
-    _write_json(summary, args.out + ".json")
+    networks.write_json(summary, args.out + ".json")
 
 
 def cmd_simulate(args) -> None:
@@ -150,7 +132,7 @@ def cmd_simulate(args) -> None:
     }
     if result.shear_modulus is not None:
         data["G"] = result.shear_modulus
-    _write_json(data, args.out)
+    networks.write_json(data, args.out)
 
 
 def cmd_rigidify(args) -> None:
@@ -216,7 +198,7 @@ def cmd_predict(args) -> None:
         grid = sorted({abs(v) for v in extensions.values()})
         curve, best_e, best_eta = loadpredict.threshold_sweep(
             predicted, extensions, grid, args.t)
-    _write_json(data, args.out)
+    networks.write_json(data, args.out)
     if extensions is not None:
         with open(args.out + ".scores.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -230,39 +212,46 @@ def cmd_render(args) -> None:
     net = _load_network(args)
     kwargs = {}
     overlay = args.overlay
+    # the file the overlay reads (a mode:K overlay reads --basis)
+    path = getattr(args, _OVERLAY_INPUTS.get(overlay, "basis"))
+    malformed = f"overlay {overlay}: {path} holds a malformed entry"
+    end = f"{malformed}: edge end"
     try:
         if overlay.startswith("mode:"):
-            basis = _read_json(args.basis, "basis")
+            basis = networks.read_json(args.basis, "basis")
             runs = basis.get("runs") if isinstance(basis, dict) else None
             modes = _read_key(args.basis, "basis", "modes", runs[0] if runs else basis)
             index = overlay.split(":", 1)[1]
             if not index.isdigit() or int(index) >= len(modes):
-                raise SchemaError(f"overlay {overlay}: the basis holds modes "
+                raise SchemaError(f"overlay {overlay}: {path} holds modes "
                                   f"0 to {len(modes) - 1}")
             v = np.zeros(net.n_coords)
             for coord, value in modes[int(index)]["entries"]:
-                if int(coord) < 0:
+                coord = json_int(coord, f"{malformed}: coordinate")
+                if coord < 0:
                     raise IndexError(f"coordinate {coord} is negative")
-                v[int(coord)] = float(value)
+                v[coord] = json_number(value, f"{malformed}: value")
             kwargs["mode_vector"] = v
         elif overlay == "globality":
             values = _read_key(args.prediction, "prediction", "globality")
-            kwargs["node_values"] = {int(k): float(v) for k, v in values.items()}
+            # JSON object keys are strings
+            kwargs["node_values"] = {int(k): json_number(v, f"{malformed}: value")
+                                     for k, v in values.items()}
         elif overlay == "extensions":
             rows = _read_key(args.sim, "simulation", "per_edge")
             kwargs["edge_values"] = {
-                (int(r["a"]), int(r["b"])): float(r["scaled_extension"]) for r in rows}
+                (json_int(r["a"], end), json_int(r["b"], end)):
+                json_number(r["scaled_extension"], f"{malformed}: scaled_extension")
+                for r in rows}
         elif overlay == "prediction":
             edges = _read_key(args.prediction, "prediction", "predicted_edges")
-            kwargs["marked_edges"] = {(int(a), int(b)) for a, b in edges}
+            kwargs["marked_edges"] = {(json_int(a, end), json_int(b, end))
+                                      for a, b in edges}
         elif overlay != "none":
             raise FloppyNetError(f"unknown overlay {overlay!r}")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        # read before anything is written, so a malformed file writes nothing;
-        # a mode:K overlay reads --basis
-        path = getattr(args, _OVERLAY_INPUTS.get(overlay, "basis"))
-        raise SchemaError(f"overlay {overlay}: {path} holds a malformed "
-                          f"entry ({exc!r})") from exc
+        # read before anything is written, so a malformed file writes nothing
+        raise SchemaError(f"{malformed} ({exc!r})") from exc
     if args.bounds:
         kwargs["colour_bounds"] = tuple(args.bounds)
     render.save_svg(render.render_network(net, **kwargs), args.out)
@@ -285,7 +274,7 @@ def cmd_compare(args) -> None:
         data["energies"] = [[float(a), float(b)] for a, b in data["energies"]]
     else:
         raise FloppyNetError(f"unknown experiment {args.experiment!r}")
-    _write_json(data, args.out)
+    networks.write_json(data, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,6 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Floppy-mode analysis and control of 2D networks")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the network a subcommand reads: a JSON file or a named fixture
+    net_args = argparse.ArgumentParser(add_help=False)
+    source = net_args.add_mutually_exclusive_group(required=True)
+    source.add_argument("--network")
+    source.add_argument("--fixture")
 
     p = sub.add_parser("generate", help="procedurally generate a network")
     p.add_argument("--kind", required=True,
@@ -308,25 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("decompose", help="compute a floppy-mode basis")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("decompose", parents=[net_args], help="compute a floppy-mode basis")
     p.add_argument("--method", default="snd",
                    choices=["snd", "svd", "multiscale"])
     p.add_argument("--ensemble", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("control", help="run a reaching/grasping task")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("control", parents=[net_args], help="run a reaching/grasping task")
     p.add_argument("--task", required=True, help="task spec JSON")
     p.add_argument("--out", required=True, help="trace CSV path")
     p.set_defaults(func=cmd_control)
 
-    p = sub.add_parser("simulate", help="relax a spring network")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("simulate", parents=[net_args], help="relax a spring network")
     p.add_argument("--protocol", default="none",
                    choices=["none", "shear_top_row", "radial_stretch"])
     p.add_argument("--steps", type=int, default=20000)
@@ -336,18 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("rigidify", help="sequential stiffness tuning")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("rigidify", parents=[net_args], help="sequential stiffness tuning")
     p.add_argument("--protocol", required=True, choices=["ms", "random"])
     p.add_argument("--stop-at", type=int, default=None)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_rigidify)
 
-    p = sub.add_parser("predict", help="predict load-bearing links")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("predict", parents=[net_args], help="predict load-bearing links")
     p.add_argument("--m", type=int, default=loadpredict.DEFAULT_ENSEMBLE)
     p.add_argument("--t", type=float, default=loadpredict.DEFAULT_THRESHOLD)
     p.add_argument("--all-ties", action="store_true")
@@ -355,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("render", help="render a network to SVG")
-    p.add_argument("--network")
-    p.add_argument("--fixture")
+    p = sub.add_parser("render", parents=[net_args], help="render a network to SVG")
     p.add_argument("--overlay", default="none",
                    help="none | mode:K | globality | extensions | prediction")
     p.add_argument("--basis", help="basis JSON (mode overlay)")

@@ -46,9 +46,14 @@ class ControlTask:
                              f"{self.target.tolist()}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.step_size is not None and not 0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, "
+                             f"not {self.step_size}")
         if not self.effectors:
             raise ValueError("need at least one effector node")
         for e in self.effectors:
+            if not 0 <= e < self.network.n_nodes:
+                raise ValueError(f"effector {e} is not a node of the network")
             if self.network.fixed[e]:
                 raise ValueError(f"effector {e} is a fixed node")
         if self.basis_method not in ("SND", "SVD", "multiscale"):

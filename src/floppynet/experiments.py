@@ -236,9 +236,8 @@ def scan_single_link_instances() -> list[tuple[float, int, str]]:
 
 
 def single_link_comparison(n_instances: int = 10, base_seed: int = 0,
-                           n_random: int = 5,
                            config: SimConfig | None = None) -> dict:
-    """MS-selected link gain against the best of random candidate links.
+    """MS-selected link gain against the best of five random candidate links.
 
     Runs the first ``n_instances`` entries of ``SINGLE_LINK_INSTANCES``; asking
     for more than are registered is a ``ValueError``.
@@ -257,7 +256,7 @@ def single_link_comparison(n_instances: int = 10, base_seed: int = 0,
         ms_link = rigidify.ms_select_link(net, seed=seed)
         pool = [c for c in rigidify.candidate_links(net)
                 if tuple(c) != tuple(ms_link)]
-        picks = [pool[i] for i in rng.choice(len(pool), n_random, replace=False)]
+        picks = [pool[i] for i in rng.choice(len(pool), 5, replace=False)]
         results = rigidify.single_link_experiment(net, [ms_link] + picks, config)
         dg_ms = results[0][1]
         dg_rand = max(dg for _, dg in results[1:])

@@ -206,16 +206,21 @@ def to_dict(network: Network) -> dict:
     return {"nodes": nodes, "edges": edges, "metadata": dict(network.metadata)}
 
 
-def _json_int(value, what: str) -> int:
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool); else a SchemaError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} {value!r} is not a JSON integer")
     return value
 
 
-def _json_number(value, what: str) -> float:
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool); else a SchemaError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} {value!r} is not a JSON number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} is too large for a float") from exc
 
 
 def from_dict(data: dict) -> Network:
@@ -240,14 +245,14 @@ def from_dict(data: dict) -> Network:
             for key in ("id", "x", "y"):
                 if key not in entry:
                     raise SchemaError(f"node entry missing field '{key}'")
-            i = _json_int(entry["id"], "node id")
+            i = json_int(entry["id"], "node id")
             if not 0 <= i < n:
                 raise SchemaError(f"node id {i!r} not contiguous from 0")
             if i in seen_ids:
                 raise SchemaError(f"duplicate node id {i}")
             seen_ids.add(i)
-            positions[i] = (_json_number(entry["x"], f"node {i} x"),
-                            _json_number(entry["y"], f"node {i} y"))
+            positions[i] = (json_number(entry["x"], f"node {i} x"),
+                            json_number(entry["y"], f"node {i} y"))
             is_fixed = entry.get("fixed", False)
             if not isinstance(is_fixed, bool):
                 raise SchemaError(f"node {i} fixed {is_fixed!r} is not a JSON bool")
@@ -256,13 +261,12 @@ def from_dict(data: dict) -> Network:
             for key in ("a", "b"):
                 if key not in entry:
                     raise SchemaError(f"edge entry missing field '{key}'")
-            a, b = _json_int(entry["a"], "edge end"), _json_int(entry["b"], "edge end")
+            a, b = json_int(entry["a"], "edge end"), json_int(entry["b"], "edge end")
             rest = entry.get("rest_length")
             edges.append((a, b, None if rest is None
-                          else _json_number(rest, f"edge ({a},{b}) rest_length")))
-    except (AttributeError, TypeError, OverflowError) as exc:
-        # an entry that is not an object, edges that are not a list, or an
-        # integer too large for a float
+                          else json_number(rest, f"edge ({a},{b}) rest_length")))
+    except (AttributeError, TypeError) as exc:
+        # an entry that is not an object, or edges that are not a list
         raise SchemaError(f"malformed node or edge entry ({exc})") from exc
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -271,19 +275,27 @@ def from_dict(data: dict) -> Network:
     return build_network(positions, edges, fixed, metadata)
 
 
-def save(network: Network, path) -> None:
+def read_json(path, what: str):
+    """The JSON value in ``path``; a SchemaError naming the file if it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(data, path) -> None:
     with open(path, "w") as fh:
-        json.dump(to_dict(network), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def save(network: Network, path) -> None:
+    write_json(to_dict(network), path)
+
+
 def load(path) -> Network:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return from_dict(data)
+    return from_dict(read_json(path, "network"))
 
 
 # -- generators ------------------------------------------------------------
@@ -496,6 +508,9 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
     """
     if spec.kind != "bidisperse_packing":
         raise GeneratorSpecError(f"expected bidisperse_packing, got {spec.kind!r}")
+    if spec.boundary not in ("open", "fixed_circle"):
+        raise GeneratorSpecError(f"a packing's boundary is fixed_circle, "
+                                 f"not {spec.boundary!r}")
     rng = np.random.default_rng(spec.seed)
     x, radii, container_radius, scale = _pack_disks(spec, rng)
 

@@ -187,10 +187,8 @@ def svd_basis(R: np.ndarray) -> ModeBasis:
     return ModeBasis(modes, "SVD", None)
 
 
-def involvement_Q(basis: ModeBasis, n_nodes: int | None = None) -> dict[int, int]:
+def involvement_Q(basis: ModeBasis, n_nodes: int) -> dict[int, int]:
     """Per node, the number of modes whose support touches it."""
-    if n_nodes is None:
-        n_nodes = basis.modes[0].vector.shape[0] // 2 if basis.modes else 0
     q = {i: 0 for i in range(n_nodes)}
     for mode in basis.modes:
         for node in mode.node_support:

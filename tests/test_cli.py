@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,38 @@ class TestGenerate:
     def test_domain_error_exit_1(self, tmp_path):
         assert run(["generate", "--kind", "triangular_lattice", "--nx", 1,
                     "--ny", 4, "--out", tmp_path / "x.json"]) == 1
+
+    def test_packing_with_a_lattice_boundary(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["generate", "--kind", "bidisperse_packing", "--boundary",
+                    "fixed_rows", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error [bad-generator-spec]")
+        assert not out.exists()
+
+
+NETWORK_COMMANDS = ["decompose", "control", "simulate", "rigidify", "predict", "render"]
+
+
+@pytest.mark.parametrize("command", NETWORK_COMMANDS + ["generate", "compare"])
+def test_network_options_on_the_network_commands(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    usage = capsys.readouterr().out
+    takes = command in NETWORK_COMMANDS
+    assert ("--network" in usage, "--fixture" in usage) == (takes, takes)
+
+
+@pytest.mark.parametrize("given", [
+    pytest.param([], id="neither"),
+    pytest.param(["--network", "net.json", "--fixture", "robot_arm"], id="both"),
+])
+def test_network_commands_need_one_network_source(tmp_path, capsys, given):
+    out = tmp_path / "basis.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["decompose", *given, "--out", out])
+    assert exc.value.code == 2
+    assert "--network" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDecompose:
@@ -137,6 +170,18 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith("error [schema-violation]")
         assert list(tmp_path.iterdir()) == [netfile]
 
+    @pytest.mark.parametrize("raw", [pytest.param(b"{nodes", id="not-json"),
+                                     pytest.param(b"\xff\xfe{}", id="not-text")])
+    def test_unparsable_network_names_its_path(self, tmp_path, capsys, raw):
+        netfile = tmp_path / "net.json"
+        netfile.write_bytes(raw)
+        assert run(["decompose", "--network", netfile,
+                    "--out", tmp_path / "basis.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error [schema-violation]: network {netfile} is not valid JSON")
+        assert list(tmp_path.iterdir()) == [netfile]
+
     def test_input_not_mutated(self, tmp_path):
         netfile = tmp_path / "net.json"
         networks.save(networks.fixture("molecule_fixture"), netfile)
@@ -206,6 +251,20 @@ class TestControlCommand:
         pytest.param('{"effectors": ["x"], "target": [1.0, 2.2]}', id="not-an-id"),
         pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2, 3.0]}',
                      id="target-of-three"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "step_size": "0.05"}',
+                     id="step-size-a-string"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "step_size": 0}',
+                     id="step-size-zero"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "step_size": null}',
+                     id="step-size-null"),
+        pytest.param('{"effectors": [3.7], "target": [1.0, 2.2]}', id="effector-a-float"),
+        pytest.param('{"effectors": [true], "target": [1.0, 2.2]}', id="effector-a-bool"),
+        pytest.param('{"effectors": [3, 4], "target": ["1.0", "2.2"]}',
+                     id="target-strings"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "max_steps": 2.5}',
+                     id="max-steps-a-float"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "tolerance": "0.1"}',
+                     id="tolerance-a-string"),
     ])
     def test_malformed_task_is_a_schema_violation(self, tmp_path, capsys, text):
         task = tmp_path / "task.json"
@@ -213,7 +272,9 @@ class TestControlCommand:
         out = tmp_path / "trace.csv"
         assert run(["control", "--fixture", "robot_arm", "--task", task,
                     "--out", out]) == 1
-        assert "error [schema-violation]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error [schema-violation]")
+        assert f"task {task}" in err
         assert list(tmp_path.iterdir()) == [task]
 
 
@@ -362,6 +423,19 @@ class TestRenderCommand:
                      "holds a malformed entry", id="globality-value"),
         pytest.param("mode:0", "--basis", '{"modes": [{"entries": [[-1, 1.0]]}]}',
                      "holds a malformed entry", id="mode-negative-coordinate"),
+        pytest.param("mode:0", "--basis", '{"modes": [{"entries": [[2.7, 1.0]]}]}',
+                     "holds a malformed entry: coordinate 2.7 is not a JSON integer",
+                     id="mode-coordinate-a-float"),
+        pytest.param("globality", "--prediction", '{"globality": {"0": true}}',
+                     "holds a malformed entry: value True is not a JSON number",
+                     id="globality-value-a-bool"),
+        pytest.param("prediction", "--prediction", '{"predicted_edges": [[0.9, 1]]}',
+                     "holds a malformed entry: edge end 0.9 is not a JSON integer",
+                     id="predicted-edge-end-a-float"),
+        pytest.param("extensions", "--sim",
+                     '{"per_edge": [{"a": 0, "b": 1, "scaled_extension": "0.3"}]}',
+                     "holds a malformed entry: scaled_extension '0.3' is not a JSON number",
+                     id="scaled-extension-a-string"),
     ])
     def test_overlay_file_without_its_key_is_a_schema_violation(
             self, tmp_path, capsys, overlay, option, text, says):
@@ -395,3 +469,117 @@ class TestCompareCommand:
         data = json.loads(out.read_text())
         assert data["mean_P_snd"] < data["mean_P_svd"]
         assert 0 <= data["p_value"] <= 1
+
+
+def _run_cli_corpus(d):
+    """Run every subcommand once on small inputs in ``d``; SHA-256 of each output."""
+    lat, pack = d / "lat.json", d / "pack.json"
+    commands = [
+        ["--seed", 5, "generate", "--kind", "triangular_lattice", "--nx", 5,
+         "--ny", 5, "--dilution", 0.6, "--boundary", "fixed_rows", "--out", lat],
+        ["--seed", 1, "generate", "--kind", "bidisperse_packing", "--n-disks", 30,
+         "--target-dof", 8, "--out", pack],
+        *[["--seed", 2, "decompose", "--network", lat, "--method", m,
+           "--out", d / f"{m}.json"] for m in ("snd", "svd", "multiscale")],
+        ["--seed", 3, "decompose", "--network", pack, "--ensemble", 3,
+         "--out", d / "ens.json"],
+        *[["control", "--fixture", "robot_arm", "--task", d / f"task-{m}.json",
+           "--out", d / f"trace-{m}.csv"] for m in ("SND", "multiscale")],
+        *[["--seed", 4, "simulate", "--network", net, "--protocol", p,
+           "--steps", 300, "--out", d / f"sim-{p}.json"]
+          for net, p in ((lat, "none"), (lat, "shear_top_row"),
+                         (pack, "radial_stretch"))],
+        ["--seed", 6, "rigidify", "--network", lat, "--protocol", "ms",
+         "--stop-at", 2, "--steps", 300, "--out", d / "curve.csv"],
+    ]
+    for method in ("SND", "multiscale"):
+        (d / f"task-{method}.json").write_text(json.dumps({
+            "effectors": [3, 4], "target": [1.0, 2.2], "tolerance": 0.1,
+            "max_steps": 300, "step_size": 0.05, "basis_method": method}))
+    for args in commands:
+        assert run(args) == 0, args
+    rows = json.loads((d / "sim-radial_stretch.json").read_text())["per_edge"]
+    (d / "ext.csv").write_text("edge_a,edge_b,extension\n" + "".join(
+        f"{r['a']},{r['b']},{r['extension']!r}\n" for r in rows))
+    commands = [
+        ["--seed", 7, "predict", "--network", pack, "--m", 4,
+         "--extensions", d / "ext.csv", "--out", d / "pred.json"],
+        ["render", "--network", lat, "--out", d / "none.svg"],
+        ["render", "--network", lat, "--overlay", "mode:0", "--basis",
+         d / "snd.json", "--out", d / "mode.svg"],
+        ["render", "--network", pack, "--overlay", "mode:1", "--basis",
+         d / "ens.json", "--bounds", 0, 0.5, "--out", d / "mode-ens.svg"],
+        ["render", "--network", pack, "--overlay", "globality",
+         "--prediction", d / "pred.json", "--out", d / "glob.svg"],
+        ["render", "--network", pack, "--overlay", "prediction",
+         "--prediction", d / "pred.json", "--out", d / "pred.svg"],
+        ["render", "--network", pack, "--overlay", "extensions",
+         "--sim", d / "sim-radial_stretch.json", "--out", d / "ext.svg"],
+        ["--seed", 8, "compare", "--experiment", "grasping", "--n", 1,
+         "--out", d / "grasp.json"],
+        ["--seed", 9, "compare", "--experiment", "involvement", "--n", 3,
+         "--out", d / "inv.json"],
+    ]
+    for args in commands:
+        assert run(args) == 0, args
+    inputs = {"task-SND.json", "task-multiscale.json", "ext.csv"}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(d.iterdir()) if p.name not in inputs}
+
+
+# SHA-256 of every output of ``_run_cli_corpus``, recorded before the CLI
+# read its files through ``networks.read_json``; each must stay byte-identical.
+PINNED_CLI_OUTPUTS = {
+    "curve.csv":
+        "a3f98d4c198bfad609eb5ab55ca83bb3efb36377e694792fd3c4a6a3b4a81d16",
+    "ens.json":
+        "eabaf47a06dec8604631b6ed5a1aa79154b48e1241ea93bb80de75b353a61a88",
+    "ext.svg":
+        "b16bc30b2a09f49f4a44d009d200f9a2c5d4d4f23c53a42e086ef3fa8b59e1ca",
+    "glob.svg":
+        "9bf583ac71952a25d740e3b176634d63d112613d12a18632342c9cd4104d90db",
+    "grasp.json":
+        "eadef1cf744ca234f53c011ca6347ed979fac8e7f9b4af558dbcac862bc7cdc4",
+    "inv.json":
+        "98524fc5274431a2402048e66b0cfd3f1165ea254e0b1d3a3402b02c587aef06",
+    "lat.json":
+        "f97e7a8edf19624fdfa626ea6410d6b921bd5fda8b715591361b4b9728642fba",
+    "mode-ens.svg":
+        "a7269d3fc578a91f9eccf9286e5d3d9741a99fde7a6870efdac4e818989672ff",
+    "mode.svg":
+        "e7bb1c4b0fb033b5ab965ad79a23c44791664802b915e94ecfbec8ef37d405a5",
+    "multiscale.json":
+        "5017cc7e6756a972597a9323b523aceef0237ce6eda3f2a36d2e70e7c24d7598",
+    "none.svg":
+        "b95baec0e08cd69601c5a68d7f8ae62e1f496830e6cf0ce63a50957c450046f4",
+    "pack.json":
+        "d71bd81f04b5c06b9523d038ece41a87502990eb39d04f23a0ee5211ab8f8130",
+    "pred.json":
+        "251cd5b1d8267d0dbe0648144fda0d2c23b8574dd4fecd6e315ec00f110a7f42",
+    "pred.json.scores.csv":
+        "132a9a6107892ef33a10343f8b0c7579b308d0c011853b0f1b5d1ede1a846f3f",
+    "pred.svg":
+        "efb308f442d54d2bc9d9be52dc8129c551abd09c03da8a8225c10f18545db53b",
+    "sim-none.json":
+        "06320ff3d97a0e705e2850cc613a46866e143c26af941e3a4403e9bcbc00cbf4",
+    "sim-radial_stretch.json":
+        "4cf0c162a49bc399b4b1358331baf5bef8b842c9c3d808a75ef52ea8e743f0f6",
+    "sim-shear_top_row.json":
+        "dd830bc4b93f4a0761db188b51472131e5da8ed1110f784c6c057485fe32e993",
+    "snd.json":
+        "d270cd80617d444c66488f2284c174e7bfba024f55c6bfa49e2bada54550655f",
+    "svd.json":
+        "7c5f4d6d15da6a44e6557f1b09e4adacb88682f64b04d95ed7599553679a6e41",
+    "trace-SND.csv":
+        "688b21be72aafc2e0535c52eb22d61d617ac6e797675d445e5f9e77593f9b29b",
+    "trace-SND.csv.json":
+        "5aabaabec8b1c5e2335c87f684acf599ed176a5242a45532c616603389b419d7",
+    "trace-multiscale.csv":
+        "c9a9774ac3356012a4db9cfa8352d4151636e60f32cd117adc1e86ca7f249c72",
+    "trace-multiscale.csv.json":
+        "dc967cd294cf1310e9918ecbd2127df4ab9471ead11bd59b7b47f701b9060535",
+}
+
+
+def test_cli_outputs_pinned(tmp_path, capsys):
+    assert _run_cli_corpus(tmp_path) == PINNED_CLI_OUTPUTS

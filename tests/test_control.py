@@ -153,6 +153,16 @@ class TestRunTask:
         with pytest.raises(ValueError):
             ControlTask(robot_arm, [0], np.zeros(2))
 
+    @pytest.mark.parametrize("effector", [-1, 5])
+    def test_effector_outside_the_network_rejected(self, robot_arm, effector):
+        with pytest.raises(ValueError, match="not a node"):
+            ControlTask(robot_arm, [effector], np.zeros(2))
+
+    @pytest.mark.parametrize("step_size", [0.0, -0.05, np.nan, np.inf])
+    def test_step_size_not_positive_rejected(self, robot_arm, step_size):
+        with pytest.raises(ValueError, match="step_size"):
+            ControlTask(robot_arm, [3], np.zeros(2), step_size=step_size)
+
     @pytest.mark.parametrize("target", [
         [1.0, 2.2, 3.0], [1.0], 1.0, [[1.0, 2.2]], [1.0, np.nan], [np.inf, 2.2]])
     def test_target_not_a_finite_point_rejected(self, robot_arm, target):

@@ -88,6 +88,12 @@ class TestTriangularLattice:
 
 
 class TestPacking:
+    @pytest.mark.parametrize("boundary", ["fixed_rows", "fixed_bottom_row"])
+    def test_lattice_boundary_rejected(self, boundary):
+        spec = networks.GeneratorSpec(kind="bidisperse_packing", boundary=boundary)
+        with pytest.raises(GeneratorSpecError, match=boundary):
+            networks.generate_bidisperse_packing(spec)
+
     def test_target_dof(self):
         spec = networks.GeneratorSpec(kind="bidisperse_packing", seed=2,
                                       n_disks=40, target_dof=18)
