@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import multiscale, nullspace, rigidity
-from .errors import FloppyNetError, ProjectionFailed
+from .errors import FloppyNetError, ParameterError, ProjectionFailed
 from .networks import Network
 from .nullspace import ModeBasis
 
@@ -42,22 +42,25 @@ class ControlTask:
     def __post_init__(self):
         self.target = np.asarray(self.target, float)
         if self.target.shape != (2,) or not np.isfinite(self.target).all():
-            raise ValueError(f"target must be a finite point (x, y), not "
-                             f"{self.target.tolist()}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ParameterError(f"target must be a finite point (x, y), not "
+                                 f"{self.target.tolist()}")
+        if not 0 < self.tolerance < np.inf:
+            raise ParameterError(f"tolerance must be positive and finite, "
+                                 f"not {self.tolerance}")
+        if self.max_steps < 1:
+            raise ParameterError(f"max_steps must be >= 1, not {self.max_steps}")
         if self.step_size is not None and not 0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be positive and finite, "
-                             f"not {self.step_size}")
+            raise ParameterError(f"step_size must be positive and finite, "
+                                 f"not {self.step_size}")
         if not self.effectors:
-            raise ValueError("need at least one effector node")
+            raise ParameterError("need at least one effector node")
         for e in self.effectors:
             if not 0 <= e < self.network.n_nodes:
-                raise ValueError(f"effector {e} is not a node of the network")
+                raise ParameterError(f"effector {e} is not a node of the network")
             if self.network.fixed[e]:
-                raise ValueError(f"effector {e} is a fixed node")
+                raise ParameterError(f"effector {e} is a fixed node")
         if self.basis_method not in ("SND", "SVD", "multiscale"):
-            raise ValueError(f"unknown basis method {self.basis_method!r}")
+            raise ParameterError(f"unknown basis method {self.basis_method!r}")
 
 
 class StepRecord(NamedTuple):

@@ -14,6 +14,12 @@ class FloppyNetError(Exception):
         super().__init__(message or self.code)
 
 
+class ParameterError(FloppyNetError, ValueError):
+    """A parameter outside its allowed range; still a ``ValueError``."""
+
+    code = "bad-parameter"
+
+
 class GeneratorSpecError(FloppyNetError):
     code = "bad-generator-spec"
 

@@ -109,8 +109,6 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
         if source in visited:
             continue
         visited.add(source)
-        if source not in adj:
-            continue
         dist = {source: 0}
         parents: dict[int, list[int]] = {source: []}
         frontier = [source]
@@ -125,8 +123,7 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
                         nxt.append(v)
                     elif dist[v] == dist[u] + 1:
                         parents[v].append(u)
-            hits = sorted(v for v in nxt
-                          if v != source and network.fixed[v])
+            hits = sorted(v for v in nxt if network.fixed[v])
             terminals = hits if mark_all_ties else hits[:1]
             frontier = nxt
         if not terminals:

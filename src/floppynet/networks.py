@@ -27,7 +27,7 @@ from .errors import (
 #: Vertical spacing between triangular-lattice rows for unit bond length.
 ROW_SPACING = math.sqrt(3.0) / 2.0
 
-#: Tolerance used when checking that defaulted rest lengths match geometry.
+#: A rest length defaulted to at most this joins coincident nodes.
 REST_LENGTH_ATOL = 1e-9
 
 #: Small and large disk radii for bidisperse packings (ratio 1:1.4).
@@ -47,12 +47,14 @@ class Edge(NamedTuple):
 class Network:
     """Embedded 2D graph with per-node fixed flags and per-edge rest lengths.
 
-    Node ids are the row indices of ``positions`` (contiguous from 0).  Edges
-    are stored with ``a < b``; unordered duplicates, self-loops, non-finite
-    positions and rest lengths that are not positive and finite are rejected
-    at construction.  The edges are validated once and stored as a tuple,
-    with read-only arrays beside it; networks derived by
-    :meth:`with_positions` share both.
+    Node ids are the row indices of ``positions`` (contiguous from 0).  The
+    constructor is the one place edges are checked and defaulted: each
+    ``(a, b, rest_length)`` is checked for a self-loop and a missing node, a
+    ``None`` rest length becomes the endpoints' distance, and the edge is
+    stored with ``a < b``; unordered duplicates, non-finite positions and
+    rest lengths that are not positive and finite are rejected.  The edges
+    are stored as a tuple, with read-only arrays beside it; networks derived
+    by :meth:`with_positions` share both.
     """
 
     positions: np.ndarray
@@ -70,12 +72,17 @@ class Network:
             raise SchemaError("fixed must be a length-N boolean array")
         seen: set[tuple[int, int]] = set()
         canonical = []
-        for e in self.edges:
-            a, b, rest = int(e[0]), int(e[1]), float(e[2])
+        for a, b, rest in self.edges:
+            a, b = int(a), int(b)
             if a == b:
                 raise SelfLoopError(f"edge ({a},{b}) is a self-loop")
             if not (0 <= a < self.n_nodes and 0 <= b < self.n_nodes):
                 raise SchemaError(f"edge ({a},{b}) references a missing node")
+            if rest is None:
+                rest = float(np.linalg.norm(self.positions[a] - self.positions[b]))
+                if rest <= REST_LENGTH_ATOL:
+                    raise SchemaError(f"edge ({a},{b}) joins coincident nodes")
+            rest = float(rest)
             if a > b:
                 a, b = b, a
             if (a, b) in seen:
@@ -139,7 +146,7 @@ class Network:
         """A copy holding a different edge list, in the given order.
 
         A pair given without a rest length keeps the one this network holds
-        for it; a new pair defaults to geometry (see :func:`build_network`).
+        for it; a new pair defaults to geometry (see :class:`Network`).
         """
         held = {(e.a, e.b): e.rest_length for e in self.edges}
         edges = [e if len(e) == 3 else (*e, held.get((min(e), max(e)))) for e in edges]
@@ -160,34 +167,13 @@ def _check_finite(positions: np.ndarray) -> None:
 
 
 def build_network(positions, edges, fixed=None, metadata=None) -> Network:
-    """Construct a :class:`Network`, defaulting rest lengths to geometry.
-
-    ``edges`` may contain ``(a, b)`` pairs or ``(a, b, rest_length)`` triples
-    (``rest_length=None`` also defaults).  Defaulted rest lengths equal the
-    Euclidean distance between the endpoints.
-    """
-    positions = np.asarray(positions, dtype=float)
+    """A :class:`Network` from ``(a, b)`` pairs or ``(a, b, rest_length)``
+    triples; a pair takes the rest length ``None``, which the constructor
+    defaults to geometry.  ``fixed`` defaults to no fixed node."""
     if fixed is None:
         fixed = np.zeros(len(positions), dtype=bool)
-    full_edges = []
-    for e in edges:
-        if len(e) == 2:
-            a, b = e
-            rest = None
-        else:
-            a, b, rest = e
-        a, b = int(a), int(b)
-        if a == b:
-            raise SelfLoopError(f"edge ({a},{b}) is a self-loop")
-        if rest is None:
-            if not (0 <= a < len(positions) and 0 <= b < len(positions)):
-                raise SchemaError(f"edge ({a},{b}) references a missing node")
-            rest = float(np.linalg.norm(positions[a] - positions[b]))
-            if rest <= REST_LENGTH_ATOL:
-                raise SchemaError(f"edge ({a},{b}) joins coincident nodes")
-        full_edges.append(Edge(a, b, float(rest)))
-    return Network(positions, np.asarray(fixed, bool), full_edges,
-                   dict(metadata or {}))
+    edges = [e if len(e) == 3 else (*e, None) for e in edges]
+    return Network(positions, fixed, edges, dict(metadata or {}))
 
 
 # -- JSON file format ------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import NumericalBreakdown, ParameterError
 from . import rigidity
 
 #: Entries below this magnitude (on unit-norm vectors) are hard-zeroed and
@@ -151,10 +151,11 @@ def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
             continue    # constraint already satisfied by every row: redundant
         hit = np.flatnonzero(absd > DROP_TOL)     # rows the constraint touches
         cand = hit[absd[hit] > _PIVOT_REL * dmax]
-        nnz = (np.abs(H[cand]) > _WORK_TOL).sum(axis=1)
-        score = nnz * max(len(hit) - 1, 1)
-        # score ascending, then |projection| descending, then row index
-        p = int(cand[np.lexsort((cand, -absd[cand], score))[0]])
+        # every entry of H is 0 or at least _WORK_TOL in magnitude (identity
+        # start, scrubbed updates, zeroed pivots), so this counts the support
+        nnz = np.count_nonzero(H[cand], axis=1)
+        # support ascending, then |projection| descending, then row index
+        p = int(cand[np.lexsort((cand, -absd[cand], nnz))[0]])
         pivot = H[p].copy()
         dp = d[p]
         upd = hit[hit != p]
@@ -199,7 +200,7 @@ def involvement_Q(basis: ModeBasis, n_nodes: int) -> dict[int, int]:
 def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> list[ModeBasis]:
     """``m`` SND runs in run order, run k with its rows shuffled by seed ``base_seed + k``."""
     if m < 1:
-        raise ValueError("ensemble size must be >= 1")
+        raise ParameterError("ensemble size must be >= 1")
     bases = []
     for idx in range(m):
         try:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryRowsError, IntegrationDiverged
+from .errors import BoundaryRowsError, IntegrationDiverged, ParameterError
 from .networks import ROW_SPACING, Network
 
 #: Energy at or below this many noise-variance units per edge is considered
@@ -57,11 +57,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ParameterError("dt must be positive")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ParameterError("steps must be >= 1")
         if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+            raise ParameterError("noise_amplitude must be >= 0")
 
 
 @dataclass

@@ -265,6 +265,16 @@ class TestControlCommand:
                      id="max-steps-a-float"),
         pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "tolerance": "0.1"}',
                      id="tolerance-a-string"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "tolerance": NaN}',
+                     id="tolerance-nan"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "tolerance": Infinity}',
+                     id="tolerance-infinite"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "tolerance": 0}',
+                     id="tolerance-zero"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "max_steps": 0}',
+                     id="max-steps-zero"),
+        pytest.param('{"effectors": [3, 4], "target": [1.0, 2.2], "max_steps": -3}',
+                     id="max-steps-negative"),
     ])
     def test_malformed_task_is_a_schema_violation(self, tmp_path, capsys, text):
         task = tmp_path / "task.json"
@@ -469,6 +479,33 @@ class TestCompareCommand:
         data = json.loads(out.read_text())
         assert data["mean_P_snd"] < data["mean_P_svd"]
         assert 0 <= data["p_value"] <= 1
+
+
+@pytest.mark.parametrize("args, says", [
+    pytest.param(["predict", "--fixture", "robot_arm", "--m", 0], "ensemble size",
+                 id="predict-m-0"),
+    pytest.param(["compare", "--experiment", "participation", "--n", 0],
+                 "ensemble size", id="participation-n-0"),
+    pytest.param(["compare", "--experiment", "involvement", "--n", 0],
+                 "ensemble size", id="involvement-n-0"),
+    pytest.param(["simulate", "--fixture", "robot_arm", "--steps", 0], "steps",
+                 id="simulate-steps-0"),
+    pytest.param(["simulate", "--fixture", "robot_arm", "--dt", 0], "dt",
+                 id="simulate-dt-0"),
+    pytest.param(["simulate", "--fixture", "robot_arm", "--noise", -1],
+                 "noise_amplitude", id="simulate-noise-negative"),
+    pytest.param(["rigidify", "--fixture", "robot_arm", "--protocol", "ms",
+                  "--steps", 0], "steps", id="rigidify-steps-0"),
+    pytest.param(["compare", "--experiment", "grasping", "--method", "snd"],
+                 "unknown basis method 'snd'", id="grasping-method-snd"),
+])
+def test_rejected_parameter_is_reported_not_raised(tmp_path, capsys, args, says):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [bad-parameter]: ")
+    assert says in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run_cli_corpus(d):

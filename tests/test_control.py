@@ -3,7 +3,7 @@ import pytest
 
 from floppynet import control, experiments, multiscale, networks, nullspace, rigidity
 from floppynet.control import ControlTask
-from floppynet.errors import FloppyNetError
+from floppynet.errors import FloppyNetError, ParameterError, ProjectionFailed
 
 from conftest import trace_digest
 
@@ -24,6 +24,14 @@ class TestProjection:
         projected = control.project_to_manifold(x, robot_arm)
         assert np.array_equal(projected[0], robot_arm.positions[0])
 
+    def test_unreachable_bar_fails_after_the_newton_budget(self):
+        # the bar between the two fixed nodes is held at twice their distance
+        net = networks.build_network([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
+                                     [(0, 1, 2.0), (0, 2), (1, 2)],
+                                     [True, True, False])
+        with pytest.raises(ProjectionFailed,
+                           match="constraint violation 0.5 after 50 Newton iterations"):
+            control.project_to_manifold(net.positions, net)
 
     def test_matches_the_per_edge_jacobian_loop(self, lattice_4x4, hinged):
         # reference: the Jacobian written edge by edge over free-node columns
@@ -162,6 +170,16 @@ class TestRunTask:
     def test_step_size_not_positive_rejected(self, robot_arm, step_size):
         with pytest.raises(ValueError, match="step_size"):
             ControlTask(robot_arm, [3], np.zeros(2), step_size=step_size)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, np.nan, np.inf])
+    def test_tolerance_not_positive_and_finite_rejected(self, robot_arm, tolerance):
+        with pytest.raises(ParameterError, match="tolerance"):
+            ControlTask(robot_arm, [3], np.zeros(2), tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_max_steps_below_one_rejected(self, robot_arm, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            ControlTask(robot_arm, [3], np.zeros(2), max_steps=max_steps)
 
     @pytest.mark.parametrize("target", [
         [1.0, 2.2, 3.0], [1.0], 1.0, [[1.0, 2.2]], [1.0, np.nan], [np.inf, 2.2]])

@@ -367,6 +367,41 @@ class TestValidation:
             networks.load(path)
 
 
+# One fault per input, on three nodes of which 0 and 1 coincide at the origin.
+SINGLE_FAULTS = [
+    pytest.param([(2, 2)], SelfLoopError, "edge (2,2) is a self-loop",
+                 id="self-loop-pair"),
+    pytest.param([(0, 2), (2, 5)], SchemaError,
+                 "edge (2,5) references a missing node", id="missing-node-pair"),
+    pytest.param([(-1, 2, 1.0)], SchemaError,
+                 "edge (-1,2) references a missing node", id="missing-node-triple"),
+    pytest.param([(0, 2), (1, 0)], SchemaError,
+                 "edge (1,0) joins coincident nodes", id="coincident-pair"),
+    pytest.param([(0, 2), (2, 0, 1.0)], DuplicateEdgeError,
+                 "edge (0,2) appears twice", id="duplicate"),
+    pytest.param([(2, 1, 0.0)], SchemaError,
+                 "edge (1,2) rest_length 0.0 is not positive and finite",
+                 id="rest-zero"),
+    pytest.param([(2, 1, -1.0)], SchemaError,
+                 "edge (1,2) rest_length -1.0 is not positive and finite",
+                 id="rest-negative"),
+    pytest.param([(2, 1, math.nan)], SchemaError,
+                 "edge (1,2) rest_length nan is not positive and finite",
+                 id="rest-nan"),
+    pytest.param([(2, 1, math.inf)], SchemaError,
+                 "edge (1,2) rest_length inf is not positive and finite",
+                 id="rest-inf"),
+]
+
+
+@pytest.mark.parametrize("edges, error, message", SINGLE_FAULTS)
+def test_single_fault_edge_is_rejected(edges, error, message):
+    with pytest.raises(error) as info:
+        networks.build_network([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], edges)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestSharedEdges:
     def test_edge_arrays_are_read_only(self, lattice_4x4):
         for arr in lattice_4x4.edge_arrays():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floppynet import networks, rigidify, rigidity, springsim
-from floppynet.errors import AlreadyRigidError
+from floppynet.errors import AlreadyRigidError, NoCandidateLinkError
 from floppynet.springsim import SimConfig
 
 
@@ -77,6 +77,16 @@ class TestMsSelectLink:
         # must attach to one of them
         link = rigidify.ms_select_link(robot_arm, seed=1)
         assert set(link) & {2, 3, 4}
+
+    def test_no_candidates(self, robot_arm):
+        with pytest.raises(NoCandidateLinkError, match="no unused candidate links"):
+            rigidify.ms_select_link(robot_arm, seed=0, candidates=[])
+
+    def test_candidates_between_fixed_nodes_only(self, molecule):
+        # the backbone atoms 0-3 are fixed; every displaced atom has no link
+        with pytest.raises(NoCandidateLinkError,
+                           match="every displaced node has exhausted its links"):
+            rigidify.ms_select_link(molecule, seed=0, candidates=[(0, 2), (1, 3)])
 
 
 class TestSingleLinkExperiment:
