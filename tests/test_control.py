@@ -178,7 +178,7 @@ class TestRunTask:
 
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_max_steps_below_one_rejected(self, robot_arm, max_steps):
-        with pytest.raises(ValueError, match="max_steps"):
+        with pytest.raises(ParameterError, match="max_steps"):
             ControlTask(robot_arm, [3], np.zeros(2), max_steps=max_steps)
 
     @pytest.mark.parametrize("target", [
