@@ -2,12 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .networks import Network, Edge, GeneratorSpec, build_network, fixture, generate
+from .networks import Network, Edge, GeneratorSpec, fixture, generate
 from .rigidity import build, dof, numeric_rank
 from .nullspace import Mode, ModeBasis, snd_basis, svd_basis
 
 __all__ = [
-    "Network", "Edge", "GeneratorSpec", "build_network", "fixture", "generate",
+    "Network", "Edge", "GeneratorSpec", "fixture", "generate",
     "build", "dof", "numeric_rank",
     "Mode", "ModeBasis", "snd_basis", "svd_basis",
 ]

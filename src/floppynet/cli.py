@@ -186,7 +186,7 @@ def cmd_predict(args) -> None:
     predicted = loadpredict.predict_loaded_edges(net, gmap, t=args.t,
                                                  mark_all_ties=args.all_ties)
     data = {
-        "eligible_nodes": sorted(loadpredict._eligible_nodes(net, gmap, args.t)),
+        "eligible_nodes": sorted(loadpredict.eligible_nodes(net, gmap, args.t)),
         "predicted_edges": sorted([list(e) for e in predicted]),
         "globality": {str(k): v for k, v in gmap.f.items()},
         "rigid_nodes": sorted(gmap.rigid_nodes),

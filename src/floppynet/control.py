@@ -150,7 +150,7 @@ def run_task(task: ControlTask) -> ControlTrace:
     and sign (+ first).  Fails (``success=False``) when no mode improves the
     distance even after halving the step size ``6`` times.
     """
-    net = task.network.copy()
+    net = task.network
     x = net.positions
     if task.step_size is None:
         alpha = 0.02 * float(net.edge_lengths().mean()) if net.n_edges else 0.02

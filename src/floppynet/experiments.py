@@ -118,10 +118,9 @@ REACH_NETWORK = dict(dimensions=(5, 5), dilution_fraction=0.62, seed=5)
 
 def reaching_network() -> Network:
     """Diluted lattice used for the paired reaching tasks (bottom row pinned)."""
-    spec = GeneratorSpec(kind="triangular_lattice", **REACH_NETWORK)
-    net = networks.generate_triangular(spec)
-    net.fixed[:5] = True
-    return net
+    spec = GeneratorSpec(kind="triangular_lattice", boundary="fixed_bottom_row",
+                         **REACH_NETWORK)
+    return networks.generate_triangular(spec)
 
 
 def reaching_energy_comparison(n_pairs: int = 250, base_seed: int = 0) -> dict:

@@ -74,7 +74,7 @@ def globality(network: Network, m: int = DEFAULT_ENSEMBLE,
     return GlobalityMap(f, m, rigid)
 
 
-def _eligible_nodes(network: Network, gmap: GlobalityMap, t: float) -> set[int]:
+def eligible_nodes(network: Network, gmap: GlobalityMap, t: float) -> set[int]:
     eligible = set(int(i) for i in np.flatnonzero(network.fixed))
     eligible |= set(gmap.rigid_nodes)
     eligible |= {i for i, fi in gmap.f.items() if fi > t}
@@ -92,7 +92,7 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
     endpoints count as visited.  ``mark_all_ties`` marks every tied shortest
     path instead of the lexicographically first one.
     """
-    eligible = _eligible_nodes(network, gmap, t)
+    eligible = eligible_nodes(network, gmap, t)
     adj: dict[int, list[int]] = {u: [] for u in eligible}
     for e in network.edges:
         if e.a in eligible and e.b in eligible:

@@ -203,10 +203,8 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         section = _distal_section(adjacency, hinge, fixed)
         if not section:
             continue
-        v = _rotation_about(network, hinge, section)
-        if np.linalg.norm(v) == 0.0:
-            continue
-        try_accept(make_mode(v, tag="rotational"))
+        try_accept(make_mode(_rotation_about(network, hinge, section),
+                             tag="rotational"))
 
     # component-local modes with articulation and fixed nodes anchored
     anchored = network.fixed.copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,36 +43,34 @@ class Edge(NamedTuple):
     rest_length: float
 
 
-@dataclass
 class Network:
     """Embedded 2D graph with per-node fixed flags and per-edge rest lengths.
 
-    Node ids are the row indices of ``positions`` (contiguous from 0).  The
-    constructor is the one place edges are checked and defaulted: each
-    ``(a, b, rest_length)`` is checked for a self-loop and a missing node, a
-    ``None`` rest length becomes the endpoints' distance, and the edge is
-    stored with ``a < b``; unordered duplicates, non-finite positions and
-    rest lengths that are not positive and finite are rejected.  The edges
-    are stored as a tuple, with read-only arrays beside it; networks derived
-    by :meth:`with_positions` share both.
+    Node ids are the row indices of ``positions`` (contiguous from 0).
+    ``edges`` holds ``(a, b)`` pairs or ``(a, b, rest_length)`` triples and
+    ``fixed`` defaults to no fixed node.  The constructor is the one place
+    edges are checked and defaulted: each edge is checked for a self-loop and
+    a missing node, a missing or ``None`` rest length becomes the endpoints'
+    distance, and the edge is stored with ``a < b``; unordered duplicates,
+    non-finite positions and rest lengths that are not positive and finite
+    are rejected.  A network never changes: ``positions``, ``fixed`` and the
+    edge arrays are read-only copies it owns, the edges a tuple, and
+    :meth:`with_positions` and :meth:`with_edges` derive new networks.
+    ``metadata`` is a plain dict each network owns.
     """
 
-    positions: np.ndarray
-    fixed: np.ndarray
-    edges: tuple[Edge, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
+    def __init__(self, positions, edges, fixed=None, metadata=None):
+        self.positions = _read_only(positions, float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise SchemaError("positions must be an (N, 2) array")
         _check_finite(self.positions)
-        self.fixed = np.asarray(self.fixed, dtype=bool)
+        self.fixed = _read_only(np.zeros(self.n_nodes) if fixed is None else fixed, bool)
         if self.fixed.shape != (self.n_nodes,):
             raise SchemaError("fixed must be a length-N boolean array")
+        self.metadata: dict[str, str] = dict(metadata or {})
         seen: set[tuple[int, int]] = set()
         canonical = []
-        for a, b, rest in self.edges:
+        for a, b, rest in (e if len(e) == 3 else (*e, None) for e in edges):
             a, b = int(a), int(b)
             if a == b:
                 raise SelfLoopError(f"edge ({a},{b}) is a self-loop")
@@ -91,13 +89,10 @@ class Network:
             if not 0.0 < rest < math.inf:
                 raise SchemaError(f"edge ({a},{b}) rest_length {rest} is not positive and finite")
             canonical.append(Edge(a, b, rest))
-        self.edges = tuple(canonical)
-        a = np.array([e.a for e in canonical], dtype=int)
-        b = np.array([e.b for e in canonical], dtype=int)
-        rest = np.array([e.rest_length for e in canonical], dtype=float)
-        for arr in (a, b, rest):
-            arr.setflags(write=False)
-        self._edge_arrays = (a, b, rest)
+        self.edges: tuple[Edge, ...] = tuple(canonical)
+        self._edge_arrays = (_read_only([e.a for e in canonical], int),
+                             _read_only([e.b for e in canonical], int),
+                             _read_only([e.rest_length for e in canonical], float))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -124,33 +119,27 @@ class Network:
     def edge_set(self) -> set[tuple[int, int]]:
         return {(e.a, e.b) for e in self.edges}
 
-    def copy(self) -> "Network":
-        return self.with_positions(self.positions.copy())
-
     def with_positions(self, positions: np.ndarray) -> "Network":
-        """This network at same-shape positions, sharing its edges unchecked.
-
-        ``fixed`` and ``metadata`` are copied.
-        """
-        positions = np.asarray(positions, dtype=float)
+        """This network at a read-only copy of same-shape ``positions``,
+        sharing ``fixed`` and its edges unchecked; ``metadata`` is copied."""
+        positions = _read_only(positions, float)
         if positions.shape != self.positions.shape:
             raise SchemaError(f"positions must have shape {self.positions.shape}")
         _check_finite(positions)
         out = copy.copy(self)
         out.positions = positions
-        out.fixed = self.fixed.copy()
         out.metadata = dict(self.metadata)
         return out
 
     def with_edges(self, edges: Iterable[tuple]) -> "Network":
-        """A copy holding a different edge list, in the given order.
+        """This network holding a different edge list, in the given order.
 
         A pair given without a rest length keeps the one this network holds
         for it; a new pair defaults to geometry (see :class:`Network`).
         """
         held = {(e.a, e.b): e.rest_length for e in self.edges}
         edges = [e if len(e) == 3 else (*e, held.get((min(e), max(e)))) for e in edges]
-        return build_network(self.positions, edges, self.fixed, dict(self.metadata))
+        return Network(self.positions, edges, self.fixed, self.metadata)
 
     def diameter(self) -> float:
         """Largest pairwise node distance (0 for a single node)."""
@@ -160,20 +149,17 @@ class Network:
         return float(np.sqrt((d ** 2).sum(axis=2)).max())
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only array copy of ``values``."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_finite(positions: np.ndarray) -> None:
     if not np.isfinite(positions).all():
         bad = np.argmin(np.isfinite(positions).all(axis=1))
         raise SchemaError(f"node {bad} has a non-finite position")
-
-
-def build_network(positions, edges, fixed=None, metadata=None) -> Network:
-    """A :class:`Network` from ``(a, b)`` pairs or ``(a, b, rest_length)``
-    triples; a pair takes the rest length ``None``, which the constructor
-    defaults to geometry.  ``fixed`` defaults to no fixed node."""
-    if fixed is None:
-        fixed = np.zeros(len(positions), dtype=bool)
-    edges = [e if len(e) == 3 else (*e, None) for e in edges]
-    return Network(positions, fixed, edges, dict(metadata or {}))
 
 
 # -- JSON file format ------------------------------------------------------
@@ -258,7 +244,7 @@ def from_dict(data: dict) -> Network:
     if not isinstance(metadata, dict):
         raise SchemaError("field 'metadata' must be an object")
     metadata = {str(k): str(v) for k, v in metadata.items()}
-    return build_network(positions, edges, fixed, metadata)
+    return Network(positions, edges, fixed, metadata)
 
 
 def read_json(path, what: str):
@@ -383,7 +369,7 @@ def generate_triangular(spec: GeneratorSpec) -> Network:
         "dilution": repr(dilution), "seed": str(spec.seed),
         "boundary": spec.boundary,
     }
-    return build_network(positions, edges, fixed, metadata)
+    return Network(positions, edges, fixed, metadata)
 
 
 def _relax_disks(x, radii, container_radius, sweeps, step=0.15):
@@ -533,7 +519,7 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
         "radii": json.dumps([float(r) for r in radii[keep_nodes]]),
         "boundary": "fixed_circle",
     }
-    full = build_network(positions, all_edges, fixed, metadata)
+    full = Network(positions, all_edges, fixed, metadata)
 
     keep_fraction = 0.65 if spec.dilution_fraction is None else spec.dilution_fraction
     interior = [e for e in full.edges if not (full.fixed[e.a] and full.fixed[e.b])]
@@ -605,7 +591,7 @@ def make_robot_arm(shoulder: float = ARM_DEFAULT_ANGLES[0],
     positions = np.array([base, elbow_p, wrist_p, fa, fb])
     edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
     fixed = np.array([True, False, False, False, False])
-    return build_network(positions, edges, fixed, {"generator": "robot_arm"})
+    return Network(positions, edges, fixed, {"generator": "robot_arm"})
 
 
 def _molecule() -> Network:
@@ -619,7 +605,7 @@ def _molecule() -> Network:
     edges = [(0, 1), (1, 2), (2, 3),     # backbone bonds (between fixed atoms)
              (0, 4), (4, 5), (5, 6)]     # attachment + side-chain bonds
     fixed = np.array([True, True, True, True, False, False, False, False])
-    return build_network(positions, edges, fixed, {"generator": "molecule_fixture"})
+    return Network(positions, edges, fixed, {"generator": "molecule_fixture"})
 
 
 def fixture(kind: str) -> Network:
@@ -642,9 +628,9 @@ def lattice_fixture_4x4() -> Network:
     spec = GeneratorSpec(
         kind="triangular_lattice", dimensions=(4, 4),
         dilution_fraction=LATTICE_4X4_KEPT_EDGES / 33.0, seed=LATTICE_4X4_SEED,
+        boundary="fixed_bottom_row",
     )
     net = generate_triangular(spec)
-    net.fixed[:4] = True    # anchor the bottom row
     net.metadata["fixture"] = "lattice_4x4"
     return net
 
@@ -673,4 +659,4 @@ def hinged_fixture() -> Network:
     ]
     fixed = np.zeros(15, dtype=bool)
     fixed[[0, 1]] = True
-    return build_network(positions, edges, fixed, {"generator": "hinged_fixture"})
+    return Network(positions, edges, fixed, {"generator": "hinged_fixture"})

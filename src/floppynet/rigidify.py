@@ -123,7 +123,7 @@ def tune(network: Network, protocol: str, seed: int = 0,
     if config is None:
         config = SimConfig(steps=5000)
     rng = np.random.default_rng(seed)
-    net = network.copy()
+    net = network
     remaining = candidate_links(net)
     sequence: list[tuple[int, int]] = []
     chunk = [net]

@@ -218,9 +218,6 @@ def relax_all(networks: list[Network], config: SimConfig,
 
 
 def _lattice_dims(network: Network) -> tuple[int, int]:
-    meta = network.metadata
-    if "nx" in meta and "ny" in meta:
-        return int(meta["nx"]), int(meta["ny"])
     ys = np.unique(np.round(network.positions[:, 1] / ROW_SPACING).astype(int))
     ny = len(ys)
     nx = int((network.positions[:, 1] < 0.5 * ROW_SPACING).sum())
@@ -257,11 +254,12 @@ def shear_moduli(networks: list[Network], config: SimConfig) -> list[SimResult]:
             raise BoundaryRowsError("network has no identifiable top/bottom rows")
 
         height = (ny - 1) * ROW_SPACING
-        net = network.copy()
-        net.positions[top, 0] += config.strain * height
-        net.fixed[top] = True
-        net.fixed[bottom] = True
-        sheared.append(net)
+        positions = network.positions.copy()
+        positions[top, 0] += config.strain * height
+        fixed = network.fixed.copy()
+        fixed[top] = True
+        fixed[bottom] = True
+        sheared.append(Network(positions, network.edges, fixed, network.metadata))
         areas.append((nx - 1) * height)
 
     results = relax_all(sheared, config)
@@ -283,9 +281,8 @@ def radial_stretch(network: Network, config: SimConfig,
     radii = np.linalg.norm(network.positions[boundary] - centre, axis=1)
     diameter = 2.0 * float(radii.max())
 
-    stretched = network.copy()
-    stretched.positions[boundary] = (
-        centre + (1.0 + stretch) * (network.positions[boundary] - centre))
-    result = relax(stretched, config)
+    positions = network.positions.copy()
+    positions[boundary] = centre + (1.0 + stretch) * (network.positions[boundary] - centre)
+    result = relax(network.with_positions(positions), config)
     result.scaled_extension = _scaled(result.per_edge_extension, diameter)
     return result

@@ -29,14 +29,14 @@ def hinged():
 
 @pytest.fixture
 def pinned_bar():
-    return networks.build_network([(0.0, 0.0), (0.7, 0.4)], [(0, 1)],
-                                  [True, False])
+    return networks.Network([(0.0, 0.0), (0.7, 0.4)], [(0, 1)],
+                            [True, False])
 
 
 @pytest.fixture
 def free_triangle():
-    return networks.build_network([(0.0, 0.0), (1.0, 0.1), (0.4, 0.9)],
-                                  [(0, 1), (1, 2), (0, 2)])
+    return networks.Network([(0.0, 0.0), (1.0, 0.1), (0.4, 0.9)],
+                            [(0, 1), (1, 2), (0, 2)])
 
 
 NEAR_DEGENERATE_DELTAS = (3e-10, 1e-9)
@@ -46,7 +46,7 @@ def near_degenerate(delta):
     """Two pinned bars meeting at a free node lifted by ``delta``, plus an
     isolated fixed node near it.  The values-only SVD counts one floppy mode
     (``dof`` 1), while SND, at its absolute drop tolerance, builds none."""
-    return networks.build_network(
+    return networks.Network(
         [(0.0, 0.0), (1.0, delta), (2.0, 0.0), (1.0, -0.9)],
         [(0, 1), (1, 2)], [True, False, True, True], {"generator": "custom"})
 

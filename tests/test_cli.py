@@ -193,7 +193,7 @@ class TestDecompose:
     @pytest.mark.parametrize("method", ["snd", "svd", "multiscale"])
     def test_no_fixed_nodes_warns(self, tmp_path, method):
         netfile = tmp_path / "free.json"
-        networks.save(networks.build_network(
+        networks.save(networks.Network(
             [(0.0, 0.0), (1.0, 0.1), (0.4, 0.9)], [(0, 1), (1, 2), (0, 2)]),
             netfile)
         out = tmp_path / "basis.json"

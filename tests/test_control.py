@@ -26,9 +26,9 @@ class TestProjection:
 
     def test_unreachable_bar_fails_after_the_newton_budget(self):
         # the bar between the two fixed nodes is held at twice their distance
-        net = networks.build_network([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
-                                     [(0, 1, 2.0), (0, 2), (1, 2)],
-                                     [True, True, False])
+        net = networks.Network([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
+                               [(0, 1, 2.0), (0, 2), (1, 2)],
+                               [True, True, False])
         with pytest.raises(ProjectionFailed,
                            match="constraint violation 0.5 after 50 Newton iterations"):
             control.project_to_manifold(net.positions, net)

@@ -23,8 +23,8 @@ class TestGlobality:
 
     def test_pendulum_node_min_mode_size(self):
         # lone pinned pendulum: its only mode has two nonzero entries
-        net = networks.build_network([(0.0, 0.0), (0.6, 0.7)], [(0, 1)],
-                                     [True, False])
+        net = networks.Network([(0.0, 0.0), (0.6, 0.7)], [(0, 1)],
+                               [True, False])
         gmap = loadpredict.globality(net, m=7)
         assert gmap.f[1] == pytest.approx(2.0)
         assert 1 not in gmap.rigid_nodes
@@ -54,7 +54,7 @@ class TestPrediction:
         # union of shortest boundary-to-boundary paths
         pos = [(0, 0), (1, 0), (0.5, 0.9), (1.5, 0.9)]
         edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        net = networks.build_network(pos, edges, [True, True, False, False])
+        net = networks.Network(pos, edges, [True, True, False, False])
         gmap = loadpredict.globality(net, m=3)
         predicted = loadpredict.predict_loaded_edges(net, gmap, t=0.0)
         assert predicted == {(0, 1)}
@@ -71,14 +71,14 @@ class TestPrediction:
     def test_predicted_edges_have_eligible_endpoints(self, packed_18dof):
         gmap = loadpredict.globality(packed_18dof, m=20)
         predicted = loadpredict.predict_loaded_edges(packed_18dof, gmap, t=12)
-        eligible = loadpredict._eligible_nodes(packed_18dof, gmap, 12)
+        eligible = loadpredict.eligible_nodes(packed_18dof, gmap, 12)
         for a, b in predicted:
             assert a in eligible and b in eligible
 
     def test_lower_threshold_never_shrinks_eligibility(self, packed_18dof):
         gmap = loadpredict.globality(packed_18dof, m=10)
-        hi = loadpredict._eligible_nodes(packed_18dof, gmap, 15.0)
-        lo = loadpredict._eligible_nodes(packed_18dof, gmap, 5.0)
+        hi = loadpredict.eligible_nodes(packed_18dof, gmap, 15.0)
+        lo = loadpredict.eligible_nodes(packed_18dof, gmap, 5.0)
         assert hi <= lo
 
     def test_mark_all_ties_is_superset(self, packed_18dof):
@@ -171,14 +171,14 @@ class TestThresholdSweep:
 def test_globality_invariant_under_relabeling():
     # two pendulums and a free node: every floppy piece has a unique mode
     # set, so relabeling nodes permutes f exactly
-    net = networks.build_network(
+    net = networks.Network(
         [(0.0, 0.0), (0.6, 0.7), (3.0, 0.0), (3.5, 0.8), (1.5, 2.0)],
         [(0, 1), (2, 3)],
         [True, False, True, False, False])
     gmap = loadpredict.globality(net, m=10)
     perm = np.array([4, 2, 0, 3, 1])              # new id of each old node
     inverse = np.argsort(perm)
-    relabeled = networks.build_network(
+    relabeled = networks.Network(
         net.positions[inverse],
         [(perm[e.a], perm[e.b], e.rest_length) for e in net.edges],
         net.fixed[inverse])

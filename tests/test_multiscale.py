@@ -30,7 +30,7 @@ def _networkx_hinges(network):
 def _graph(n_nodes, edges):
     """A network over ``n_nodes`` nodes on a line, every rest length 1."""
     positions = [(float(u), 0.0) for u in range(n_nodes)]
-    return networks.build_network(positions, [(a, b, 1.0) for a, b in edges])
+    return networks.Network(positions, [(a, b, 1.0) for a, b in edges])
 
 
 def _random_lattices():
@@ -99,7 +99,7 @@ class TestFindHingesMatchesNetworkx:
 
 class TestFindHinges:
     def test_two_triangles_sharing_a_node(self):
-        net = networks.build_network(
+        net = networks.Network(
             [(0, 0), (1, 0), (0.5, 0.8), (2, 0), (1.5, 0.8)],
             [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4)])
         decomp = multiscale.find_hinges(net)
@@ -203,9 +203,9 @@ class TestMultiscaleBasis:
                 assert any(set(m.node_support) <= nodes for nodes in comp_nodes)
 
     def test_rigid_network_empty_basis(self):
-        net = networks.build_network([(0, 0), (1, 0), (0.4, 0.8)],
-                                     [(0, 1), (1, 2), (0, 2)],
-                                     [True, True, False])
+        net = networks.Network([(0, 0), (1, 0), (0.4, 0.8)],
+                               [(0, 1), (1, 2), (0, 2)],
+                               [True, True, False])
         assert len(multiscale.multiscale_basis(net)) == 0
 
     def test_isolated_free_node_modes(self, molecule):
@@ -216,7 +216,7 @@ class TestMultiscaleBasis:
     def test_pinned_hinge_rotation_discarded(self):
         # each fixed node's only side holds the other fixed node, so neither
         # may rotate it: no side is chosen and no rotation is offered
-        net = networks.build_network(
+        net = networks.Network(
             [(0, 0), (1, 0), (0.5, 0.8), (1.5, 0.8), (2, 0)],
             [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)],
             [True, True, False, False, False])

@@ -126,7 +126,7 @@ class TestPacking:
 
     def test_triangle_of_disks_is_rigid(self):
         # three mutually touching disks with a fixed rim are a rigid unit
-        net = networks.build_network(
+        net = networks.Network(
             [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)],
             [(0, 1), (1, 2), (0, 2)],
             [True, True, True])
@@ -316,8 +316,7 @@ class TestFixtures:
         # dropping the bonds between side-chain atoms leaves 2*4 - 1 = 7 DoF
         kept = [e for e in molecule.edges
                 if (e.a, e.b) not in {(4, 5), (5, 6)}]
-        stripped = networks.Network(molecule.positions.copy(),
-                                    molecule.fixed.copy(), kept, {})
+        stripped = networks.Network(molecule.positions, kept, molecule.fixed)
         assert fd_dof(stripped) == 7
 
     def test_unknown_kind(self):
@@ -332,30 +331,30 @@ class TestFixtures:
 class TestValidation:
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
-            networks.build_network([(0, 0), (1, 0)], [(1, 1)])
+            networks.Network([(0, 0), (1, 0)], [(1, 1)])
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
-            networks.build_network([(0, 0), (1, 0)], [(0, 1), (1, 0)])
+            networks.Network([(0, 0), (1, 0)], [(0, 1), (1, 0)])
 
     def test_missing_node(self):
         with pytest.raises(SchemaError):
-            networks.build_network([(0, 0), (1, 0)], [(0, 5)])
+            networks.Network([(0, 0), (1, 0)], [(0, 5)])
 
     def test_negative_rest_length(self):
         with pytest.raises(SchemaError):
-            networks.build_network([(0, 0), (1, 0)], [(0, 1, -2.0)])
+            networks.Network([(0, 0), (1, 0)], [(0, 1, -2.0)])
 
     def test_nan_position(self):
         # a defaulted rest length would be NaN too
         with pytest.raises(SchemaError, match="node 1"):
-            networks.build_network([(0, 0), (1, math.nan), (0, 1)],
-                                   [(0, 1), (1, 2)])
+            networks.Network([(0, 0), (1, math.nan), (0, 1)],
+                             [(0, 1), (1, 2)])
 
     @pytest.mark.parametrize("rest", [math.nan, math.inf])
     def test_non_finite_rest_length(self, rest):
         with pytest.raises(SchemaError, match="rest_length"):
-            networks.build_network([(0, 0), (1, 0)], [(0, 1, rest)])
+            networks.Network([(0, 0), (1, 0)], [(0, 1, rest)])
 
     def test_nan_in_json_file(self, tmp_path):
         # json reads the bare NaN literal as a float
@@ -397,9 +396,26 @@ SINGLE_FAULTS = [
 @pytest.mark.parametrize("edges, error, message", SINGLE_FAULTS)
 def test_single_fault_edge_is_rejected(edges, error, message):
     with pytest.raises(error) as info:
-        networks.build_network([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], edges)
+        networks.Network([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], edges)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Every way a network is made, from the 4x4 lattice fixture where it derives
+# from one.
+MADE = {
+    "constructor": lambda net: networks.Network(
+        net.positions.copy(), net.edges, net.fixed.copy(), net.metadata),
+    "with_positions": lambda net: net.with_positions(net.positions + 0.1),
+    "with_edges": lambda net: net.with_edges([(0, 1), (1, 2), (0, 5)]),
+    "generate_triangular": lambda net: networks.generate_triangular(
+        networks.GeneratorSpec(kind="triangular_lattice", dimensions=(4, 4),
+                               boundary="fixed_rows")),
+    "generate_bidisperse_packing": lambda net: networks.generate_bidisperse_packing(
+        networks.GeneratorSpec(kind="bidisperse_packing", seed=3, n_disks=36,
+                               target_dof=None)),
+    "from_dict": lambda net: networks.from_dict(networks.to_dict(net)),
+}
 
 
 class TestSharedEdges:
@@ -428,26 +444,42 @@ class TestSharedEdges:
             lattice_4x4.with_positions(x)
 
     def test_edges_cannot_be_edited_after_construction(self, lattice_4x4):
-        dup = lattice_4x4.copy()
+        dup = lattice_4x4.with_positions(lattice_4x4.positions)
         with pytest.raises(AttributeError):
             dup.edges.append(networks.Edge(0, 15, 3.0))
         assert lattice_4x4.n_edges == len(lattice_4x4.edge_arrays()[0]) == 21
 
-    def test_copy_is_independent(self, lattice_4x4):
+    @pytest.mark.parametrize("make", MADE.values(), ids=MADE.keys())
+    def test_arrays_are_read_only(self, make, lattice_4x4):
+        before = networks.to_dict(lattice_4x4)
+        net = make(lattice_4x4)
+        for arr in (net.positions, net.fixed, *net.edge_arrays()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        net.metadata["extra"] = "1"
+        assert networks.to_dict(lattice_4x4) == before
+
+    def test_constructor_copies_its_inputs(self, lattice_4x4):
         positions = lattice_4x4.positions.copy()
         fixed = lattice_4x4.fixed.copy()
-        dup = lattice_4x4.copy()
-        dup.positions[0] += 1.0
-        dup.fixed[:] = ~dup.fixed
-        dup.metadata["extra"] = "1"
-        assert np.array_equal(lattice_4x4.positions, positions)
-        assert np.array_equal(lattice_4x4.fixed, fixed)
-        assert "extra" not in lattice_4x4.metadata
+        net = networks.Network(positions, lattice_4x4.edges, fixed)
+        positions[0] += 1.0
+        fixed[:] = ~fixed
+        assert networks.to_dict(net)["nodes"] == networks.to_dict(lattice_4x4)["nodes"]
+
+    def test_grown_arm_shares_nothing_writable(self, robot_arm):
+        grown = robot_arm.with_edges([(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            grown.fixed[1] = True
+        with pytest.raises(ValueError):
+            grown.positions[1] = 0.0
+        assert not robot_arm.fixed[1]
 
     def test_with_edges_keeps_held_rest_lengths(self):
         # edge (0, 1) is held at rest 1.2 while its ends are 1.0 apart
-        net = networks.build_network([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)],
-                                     [(0, 1, 1.2)], [True, False, False])
+        net = networks.Network([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)],
+                               [(0, 1, 1.2)], [True, False, False])
         grown = net.with_edges([(2, 1), (1, 0)])
         assert grown.edges == (networks.Edge(1, 2, np.sqrt(5.0)),
                                networks.Edge(0, 1, 1.2))

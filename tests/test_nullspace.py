@@ -128,7 +128,7 @@ class TestSvdBasis:
         assert np.abs(gram - np.eye(len(gram))).max() <= 1e-10
 
     def test_empty_matrix_gives_identity_modes(self):
-        net = networks.build_network([(0, 0), (1, 0)], [])
+        net = networks.Network([(0, 0), (1, 0)], [])
         R = rigidity.build(net)
         basis = nullspace.svd_basis(R)
         assert len(basis) == 4

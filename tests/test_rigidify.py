@@ -65,7 +65,7 @@ class TestMsSelectLink:
     def test_pinned_bar_anchors_free_end(self):
         # one pinned bar plus an isolated fixed node: the only useful link
         # ties the swinging free end down
-        net = networks.build_network(
+        net = networks.Network(
             [(0.0, 0.0), (0.8, 0.5), (1.6, 0.0)],
             [(0, 1)], [True, False, True],
             {"generator": "custom"})
@@ -126,7 +126,7 @@ class TestTune:
     def test_dof_monotone_under_ms(self, diluted_5x5):
         run = rigidify.tune(diluted_5x5, "MS", seed=1, stop_at=8,
                             config=QUICK_SIM)
-        net = diluted_5x5.copy()
+        net = diluted_5x5
         dofs = [rigidity.dof(rigidity.build(net))]
         for link in run.link_sequence:
             net = net.with_edges(list(net.edge_set()) + [link])

@@ -38,7 +38,7 @@ def _component_network(network, comp, articulation):
     index = {u: k for k, u in enumerate(nodes)}
     rest = {(e.a, e.b): e.rest_length for e in network.edges}
     fixed = [bool(network.fixed[u]) or u in articulation for u in nodes]
-    return networks.build_network(
+    return networks.Network(
         network.positions[nodes],
         [(index[a], index[b], rest[(a, b)]) for a, b in comp.edges], fixed)
 
@@ -97,9 +97,9 @@ class TestBuild:
         assert rigidity.dof(R) == 3
 
     def test_triangle_two_pins_is_rigid(self):
-        net = networks.build_network([(0, 0), (1, 0), (0.4, 0.8)],
-                                     [(0, 1), (1, 2), (0, 2)],
-                                     [True, True, False])
+        net = networks.Network([(0, 0), (1, 0), (0.4, 0.8)],
+                               [(0, 1), (1, 2), (0, 2)],
+                               [True, True, False])
         R = rigidity.build(net)
         assert R.shape == (7, 6)
         assert rigidity.dof(R) == fd_dof(net) == 0
@@ -161,8 +161,8 @@ class TestBuild:
 
     def test_degenerate_edge(self):
         # two zero-length edges; the error names the first in edge order
-        net = networks.build_network([(0, 0), (1, 0), (1, 0), (1, 0)],
-                                     [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
+        net = networks.Network([(0, 0), (1, 0), (1, 0), (1, 0)],
+                               [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
         with pytest.raises(DegenerateEdgeError,
                            match=r"^edge \(2,3\) has zero length$"):
             rigidity.build(net)
@@ -188,7 +188,7 @@ class TestShuffle:
         assert np.array_equal(a, b)
 
     def test_single_row_identity(self, pinned_bar):
-        net = networks.build_network([(0, 0), (1, 0)], [(0, 1)])
+        net = networks.Network([(0, 0), (1, 0)], [(0, 1)])
         R = rigidity.build(net)
         assert R.shape[0] == 1
         shuffled = rigidity.shuffle_rows(R, seed=0)
@@ -219,7 +219,7 @@ class TestRank:
         assert rigidity.dof(rigidity.build(lattice_4x4)) == 4
 
     def test_empty_matrix(self):
-        net = networks.build_network([(0, 0), (1, 0)], [])
+        net = networks.Network([(0, 0), (1, 0)], [])
         R = rigidity.build(net)
         assert rigidity.numeric_rank(R) == 0
         assert rigidity.dof(R) == 4

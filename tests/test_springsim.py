@@ -79,14 +79,24 @@ def assert_same_run(res, ref):
 
 @pytest.fixture
 def stretched_spring():
-    return networks.build_network([(0.0, 0.0), (1.3, 0.0)], [(0, 1, 1.0)],
-                                  [True, False])
+    return networks.Network([(0.0, 0.0), (1.3, 0.0)], [(0, 1, 1.0)],
+                            [True, False])
+
+
+def _node_5_moved(net):
+    x = net.positions.copy()
+    x[5] += 0.3
+    return net.with_positions(x)
+
+
+def _all_fixed(net):
+    return networks.Network(net.positions, net.edges, np.ones(net.n_nodes, bool))
 
 
 class TestRelax:
     def test_spring_at_rest_stays(self):
-        net = networks.build_network([(0, 0), (1, 0)], [(0, 1, 1.0)],
-                                     [True, False])
+        net = networks.Network([(0, 0), (1, 0)], [(0, 1, 1.0)],
+                               [True, False])
         res = springsim.relax(net, SimConfig(steps=100, noise_amplitude=0.0))
         assert np.array_equal(res.positions[0], [0, 0])
         assert res.energy == 0.0
@@ -99,7 +109,7 @@ class TestRelax:
         assert res.energy <= 1e-12
 
     def test_energy_monotone_without_noise(self):
-        net = networks.build_network(
+        net = networks.Network(
             [(0, 0), (1.2, 0.1), (0.4, 0.9)],
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
             [True, False, False])
@@ -133,8 +143,7 @@ class TestRelax:
         assert np.array_equal(res.positions[net.fixed], x[net.fixed])
 
     def test_fixed_nodes_never_move(self, lattice_4x4):
-        net = lattice_4x4.copy()
-        net.positions[5] += 0.3        # disturb so forces are nonzero
+        net = _node_5_moved(lattice_4x4)     # disturb so forces are nonzero
         before = net.positions[net.fixed].copy()
         res = springsim.relax(net, SimConfig(steps=500, seed=2))
         assert np.array_equal(res.positions[net.fixed], before)
@@ -161,8 +170,7 @@ class TestRelax:
                                                         noise_amplitude=0.0))
 
     def test_max_free_force_is_the_kernel_at_the_end(self, lattice_4x4):
-        net = lattice_4x4.copy()
-        net.positions[5] += 0.3
+        net = _node_5_moved(lattice_4x4)
         cfg = SimConfig(steps=200, seed=4)
         res = springsim.relax(net, cfg)
         free = ~net.fixed
@@ -172,9 +180,7 @@ class TestRelax:
         assert res.max_free_force > 0.0
 
     def test_max_free_force_zero_when_all_fixed(self, lattice_4x4):
-        net = lattice_4x4.copy()
-        net.positions[5] += 0.3
-        net.fixed[:] = True
+        net = _all_fixed(_node_5_moved(lattice_4x4))
         res = springsim.relax(net, SimConfig(steps=10))
         assert res.max_free_force == 0.0
 
@@ -216,8 +222,7 @@ class TestMatchesPerStepLoop:
         assert res.max_free_force == 0.0
 
     def test_no_free_nodes(self):
-        net = _disturbed_lattice()
-        net.fixed[:] = True
+        net = _all_fixed(_disturbed_lattice())
         cfg = SimConfig(steps=300, seed=2)
         res = springsim.relax(net, cfg, record_energy=True)
         assert_same_run(res, _reference_relax(net, cfg, record_energy=True))
@@ -295,8 +300,9 @@ class TestRelaxAll:
         assert springsim.relax_all([], SimConfig(steps=5)) == []
 
     def test_mismatched_fixed_masks_raise(self, lattice_4x4):
-        other = lattice_4x4.copy()
-        other.fixed[int(np.flatnonzero(~other.fixed)[0])] = True
+        fixed = lattice_4x4.fixed.copy()
+        fixed[int(np.flatnonzero(~fixed)[0])] = True
+        other = networks.Network(lattice_4x4.positions, lattice_4x4.edges, fixed)
         with pytest.raises(ValueError, match="network 1 of the batch"):
             springsim.relax_all([lattice_4x4, other], SimConfig(steps=5))
 
@@ -305,8 +311,8 @@ class TestRelaxAll:
             springsim.relax_all([lattice_4x4, stretched_spring], SimConfig(steps=5))
 
     def test_divergence_names_the_member(self, stretched_spring):
-        at_rest = networks.build_network([(0.0, 0.0), (1.0, 0.0)], [(0, 1, 1.0)],
-                                         [True, False])
+        at_rest = networks.Network([(0.0, 0.0), (1.0, 0.0)], [(0, 1, 1.0)],
+                                   [True, False])
         cfg = SimConfig(dt=5.0, steps=2000, noise_amplitude=0.0)
         with pytest.raises(IntegrationDiverged,
                            match=r"^network 2 of a batch of 3: positions diverged"
@@ -337,7 +343,7 @@ def _reference_single_link_experiment(network, candidates, config, monkeypatch):
 def _reference_tune(network, protocol, seed, stop_at, config, monkeypatch):
     """Oracle: select a link, measure G, select the next, one network at a time."""
     rng = np.random.default_rng(seed)
-    net = network.copy()
+    net = network
     remaining = rigidify.candidate_links(net)
     sequence = []
     curve = [(net.n_edges, _reference_shear_modulus(net, config, monkeypatch))]
@@ -430,8 +436,19 @@ class TestShearModulus:
             net, SimConfig(steps=5000, dt=0.02, stiffness=2.0)).shear_modulus
         assert g2 / g1 == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("dims", [(5, 5), (7, 4), (3, 8)])
+    def test_lattice_size_read_from_geometry(self, dims):
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", dimensions=dims, dilution_fraction=0.6,
+            boundary="fixed_rows"))
+        meta = {k: v for k, v in net.metadata.items() if k not in ("nx", "ny")}
+        bare = networks.Network(net.positions, net.edges, net.fixed, meta)
+        cfg = SimConfig(steps=300)
+        assert (springsim.shear_modulus(bare, cfg).shear_modulus.hex()
+                == springsim.shear_modulus(net, cfg).shear_modulus.hex())
+
     def test_missing_rows(self):
-        net = networks.build_network([(0, 0), (1, 0)], [(0, 1)])
+        net = networks.Network([(0, 0), (1, 0)], [(0, 1)])
         with pytest.raises(BoundaryRowsError):
             springsim.shear_modulus(net, SimConfig(steps=10))
 
@@ -449,7 +466,7 @@ class TestRadialStretch:
         angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
         pos = np.column_stack([np.cos(angles), np.sin(angles)])
         edges = [(i, (i + 1) % n) for i in range(n)]
-        net = networks.build_network(pos, edges, np.ones(n, bool))
+        net = networks.Network(pos, edges, np.ones(n, bool))
         res = springsim.radial_stretch(net, SimConfig(steps=200), stretch=0.10)
         rest = np.array([e.rest_length for e in net.edges])
         assert np.allclose(res.per_edge_extension / rest, 0.10, atol=1e-9)
@@ -462,7 +479,7 @@ class TestRadialStretch:
                          [[0.45, 0.1], [0.1, 0.2]]])
         edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (6, 7)]
         fixed = np.array([True] * n + [False, False])
-        net = networks.build_network(pos, edges, fixed)
+        net = networks.Network(pos, edges, fixed)
         res = springsim.radial_stretch(
             net, SimConfig(steps=8000, seed=1), stretch=0.10)
         chain = np.abs(res.per_edge_extension[n:])
@@ -473,13 +490,13 @@ class TestRadialStretch:
         angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
         pos = np.column_stack([np.cos(angles), np.sin(angles)]) * 3.0
         edges = [(i, (i + 1) % n) for i in range(n)]
-        net = networks.build_network(pos, edges, np.ones(n, bool))
+        net = networks.Network(pos, edges, np.ones(n, bool))
         res = springsim.radial_stretch(net, SimConfig(steps=100))
         assert np.allclose(res.scaled_extension,
                            res.per_edge_extension / 6.0)
 
     def test_requires_boundary(self):
-        net = networks.build_network([(0, 0), (1, 0)], [(0, 1)])
+        net = networks.Network([(0, 0), (1, 0)], [(0, 1)])
         with pytest.raises(BoundaryRowsError):
             springsim.radial_stretch(net, SimConfig(steps=10))
 
