@@ -218,8 +218,8 @@ def relax_all(networks: list[Network], config: SimConfig,
 
 
 def _lattice_dims(network: Network) -> tuple[int, int]:
-    ys = np.unique(np.round(network.positions[:, 1] / ROW_SPACING).astype(int))
-    ny = len(ys)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB) on first use
+    ny = len(set(np.round(network.positions[:, 1] / ROW_SPACING).astype(int).tolist()))
     nx = int((network.positions[:, 1] < 0.5 * ROW_SPACING).sum())
     return nx, ny
 

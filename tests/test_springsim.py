@@ -436,7 +436,7 @@ class TestShearModulus:
             net, SimConfig(steps=5000, dt=0.02, stiffness=2.0)).shear_modulus
         assert g2 / g1 == pytest.approx(2.0, rel=0.05)
 
-    @pytest.mark.parametrize("dims", [(5, 5), (7, 4), (3, 8)])
+    @pytest.mark.parametrize("dims", [(5, 5), (7, 4), (3, 8)], ids=["5x5", "7x4", "3x8"])
     def test_lattice_size_read_from_geometry(self, dims):
         net = networks.generate_triangular(networks.GeneratorSpec(
             kind="triangular_lattice", dimensions=dims, dilution_fraction=0.6,
