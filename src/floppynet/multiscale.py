@@ -14,7 +14,8 @@ and the isolated-node loop and the side search read the same lists.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -162,12 +163,15 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     fixed node, and every bar leaving that side ends at the hinge.  A
     component's modes come from every row its free nodes touch, with its
     hinges anchored.  Candidates are kept while they are linearly independent
-    of those already kept.  If the assembled set does not span the whole null
-    space the deficit is filled from a plain sparse decomposition.
+    of those already kept.  The plain sparse elimination of the whole network
+    (``nullspace.eliminate``, shuffled by ``seed``) gives the mode count; if
+    the assembled set falls short of it, the deficit is filled from that
+    elimination's modes.
     """
-    R = rigidity.build(network)
-    # an SVD count, not an up-front fallback SND: most arm calls never need that SND
-    total = rigidity.dof(R)
+    # the plain elimination counts the modes; its rows are finalised only
+    # if the candidates below fall short
+    plain = nullspace.eliminate(rigidity.build(network), seed)
+    total = len(plain)
     adjacency = _neighbours(network)
     decomp = find_hinges(network)
 
@@ -180,7 +184,7 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         r = mode.vector.copy()
         for q in ortho:
             r -= (q @ r) * q
-        norm = np.linalg.norm(r)
+        norm = math.sqrt(r.dot(r))
         if norm <= _INDEP_TOL:
             return
         accepted.append(mode)
@@ -226,10 +230,8 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     if len(accepted) < total:
         log.info("multiscale-incomplete: %d of %d modes assembled; "
                  "filling from plain decomposition", len(accepted), total)
-        for m in nullspace.snd_basis(R, shuffle_seed=seed).modes:
-            try_accept(replace(m, tag="component-local"))
-        if len(accepted) < total:
-            log.warning("multiscale-short: the basis holds %d modes, but the "
-                        "SVD counts %d", len(accepted), total)
+        for m in sort_modes([make_mode(row, tag="component-local")
+                             for row in plain]):
+            try_accept(m)
 
     return ModeBasis(sort_modes(accepted), "multiscale", seed)

@@ -338,6 +338,18 @@ def lattice_edges(nx: int, ny: int) -> list[tuple[int, int]]:
     return sorted(tuple(sorted(e)) for e in edges)
 
 
+def lattice_dims(network: Network) -> tuple[int, int]:
+    """Columns and rows of a triangular lattice, read from its geometry.
+
+    Rows are the distinct node heights in units of ``ROW_SPACING``, and
+    columns the nodes of the bottom row; the metadata is not consulted.
+    """
+    # a set, not np.unique, which imports numpy.ma (about 1 MB) on first use
+    ny = len(set(np.round(network.positions[:, 1] / ROW_SPACING).astype(int).tolist()))
+    nx = int((network.positions[:, 1] < 0.5 * ROW_SPACING).sum())
+    return nx, ny
+
+
 def generate_triangular(spec: GeneratorSpec) -> Network:
     """Diluted triangular lattice; keeps ``round(dilution * total)`` edges."""
     if spec.kind != "triangular_lattice":

@@ -12,6 +12,7 @@ quantify how local a basis is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +86,18 @@ def _finalize_vector(v: np.ndarray) -> np.ndarray:
     The sign makes the first entry of (nearly) largest magnitude positive.
     """
     v = np.asarray(v, float).copy()
-    norm = np.linalg.norm(v)
+    # the reduction np.linalg.norm runs on a vector, without its dispatch
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         return v
     v /= norm
     v[np.abs(v) < ZERO_TOL] = 0.0
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         return v
     v /= norm
     mag = np.abs(v)
-    lead = np.flatnonzero(mag >= mag.max() * (1.0 - _LEAD_REL))[0]
+    lead = (mag >= mag.max() * (1.0 - _LEAD_REL)).argmax()    # the first such entry
     if v[lead] < 0:
         v = -v
     return v
@@ -103,7 +105,7 @@ def _finalize_vector(v: np.ndarray) -> np.ndarray:
 
 def make_mode(vector: np.ndarray, tag: str = "") -> Mode:
     v = _finalize_vector(vector)
-    support = tuple(int(i) for i in np.flatnonzero(v))
+    support = tuple(v.nonzero()[0].tolist())
     nodes = tuple(sorted({i // 2 for i in support}))
     return Mode(v, support, len(support), nodes, tag)
 
@@ -117,21 +119,26 @@ def sort_modes(modes: list[Mode]) -> list[Mode]:
     return sorted(modes, key=_mode_sort_key)
 
 
-def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
-    """Sparse null-space basis by iterative constraint elimination.
+def eliminate(R: np.ndarray, shuffle_seed: int | None = None) -> np.ndarray:
+    """The working rows left live once every constraint row is absorbed.
 
     The working matrix starts as the identity; each constraint row is absorbed
     by picking the sparsest adequate pivot row, updating the rows it overlaps
     with, and retiring the pivot: it is zeroed in place, so it projects to 0
     on every later constraint.  The rows still live after all constraints
-    span the null space; they are read out once, in their original order.
-    The projection reads only the constraint's nonzero columns (at most
-    four), so absorbing a constraint costs O(n) per row it scores or
+    span the null space; they are returned in their original order, unit
+    norm but not yet finalised (see ``snd_basis``), so their count is the
+    null-space dimension SND sees.  Every constraint's nonzero columns (at
+    most four) and their values come from one ``np.nonzero`` pass over the
+    matrix, so absorbing a constraint costs O(n) per row it scores or
     updates, never O(n^2).  ``shuffle_seed`` permutes the constraint rows
     first.
     """
     A = R if shuffle_seed is None else rigidity.shuffle_rows(R, shuffle_seed)
     m, n = A.shape
+    rows, columns = np.nonzero(A)
+    values = A[rows, columns]
+    offsets = np.searchsorted(rows, np.arange(m + 1)).tolist()
     H = np.eye(n)
     live = np.ones(n, dtype=bool)
     n_live = n
@@ -139,30 +146,31 @@ def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
         if n_live == 0:
             break
         # retired rows are zero, so they project to 0 and are never picked
-        cols = np.flatnonzero(A[i])
-        d = H[:, cols] @ A[i, cols]
+        lo, hi = offsets[i], offsets[i + 1]
+        d = H[:, columns[lo:hi]] @ values[lo:hi]
         absd = np.abs(d)
         dmax = absd.max()
-        if not np.isfinite(dmax):
+        if not math.isfinite(dmax):
             raise NumericalBreakdown(
                 f"elimination failed at constraint {i} of {m}: "
                 f"{n_live} live rows left, projection not finite")
         if dmax <= DROP_TOL:
             continue    # constraint already satisfied by every row: redundant
-        hit = np.flatnonzero(absd > DROP_TOL)     # rows the constraint touches
+        hit = (absd > DROP_TOL).nonzero()[0]      # rows the constraint touches
         cand = hit[absd[hit] > _PIVOT_REL * dmax]
         # every entry of H is 0 or at least _WORK_TOL in magnitude (identity
         # start, scrubbed updates, zeroed pivots), so this counts the support
-        nnz = np.count_nonzero(H[cand], axis=1)
+        nnz = (H[cand] != 0.0).sum(axis=1)
         # support ascending, then |projection| descending, then row index
         p = int(cand[np.lexsort((cand, -absd[cand], nnz))[0]])
-        pivot = H[p].copy()
         dp = d[p]
         upd = hit[hit != p]
         if upd.size:
-            block = H[upd] - np.outer(d[upd] / dp, pivot)
-            norms = np.linalg.norm(block, axis=1)
-            if not np.all(np.isfinite(block)) or np.any(norms == 0.0):
+            block = H[upd] - (d[upd] / dp)[:, None] * H[p]
+            # the reduction np.linalg.norm(block, axis=1) runs; a non-finite
+            # entry makes its row's norm inf or nan
+            norms = np.sqrt((block * block).sum(axis=1))
+            if not (norms.min() > 0.0 and math.isfinite(norms.max())):
                 raise NumericalBreakdown(
                     f"elimination failed at constraint {i} of {m}: "
                     f"{n_live} live rows left, pivot magnitude {abs(dp):.3e}")
@@ -172,7 +180,16 @@ def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
         H[p] = 0.0
         live[p] = False
         n_live -= 1
-    modes = sort_modes([make_mode(row) for row in H[live]])
+    return H[live]
+
+
+def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
+    """Sparse null-space basis: the rows ``eliminate`` leaves, finalised.
+
+    Each row becomes a unit mode with its small entries zeroed and its sign
+    canonical (``make_mode``); the modes are sorted by ``sort_modes``.
+    """
+    modes = sort_modes([make_mode(row) for row in eliminate(R, shuffle_seed)])
     return ModeBasis(modes, "SND", shuffle_seed)
 
 

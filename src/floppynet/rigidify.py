@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nullspace, rigidity, springsim
 from .errors import AlreadyRigidError, NoCandidateLinkError
-from .networks import Network, lattice_edges
+from .networks import Network, lattice_dims, lattice_edges
 from .springsim import SimConfig
 
 #: Candidate links for non-lattice networks pair nodes closer than this
@@ -45,7 +45,7 @@ def candidate_links(network: Network) -> list[tuple[int, int]]:
     """
     existing = network.edge_set()
     if network.metadata.get("generator") == "triangular_lattice":
-        pool = lattice_edges(int(network.metadata["nx"]), int(network.metadata["ny"]))
+        pool = lattice_edges(*lattice_dims(network))
     else:
         cutoff = NEIGHBOUR_FACTOR * float(network.edge_lengths().mean())
         pool = []

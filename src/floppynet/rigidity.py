@@ -32,7 +32,8 @@ def assemble(positions: np.ndarray, pairs, fixed) -> np.ndarray:
     anchored = np.flatnonzero(fixed)
     p, q = pairs[:, 0], pairs[:, 1]
     d = positions[p] - positions[q]
-    degenerate = np.flatnonzero(np.linalg.norm(d, axis=1) <= 1e-12)
+    # row norms as the reduction np.linalg.norm(axis=1) runs, without its dispatch
+    degenerate = (np.sqrt((d * d).sum(axis=1)) <= 1e-12).nonzero()[0]
     if degenerate.size:
         k = degenerate[0]
         raise DegenerateEdgeError(f"edge ({p[k]},{q[k]}) has zero length")
@@ -43,7 +44,7 @@ def assemble(positions: np.ndarray, pairs, fixed) -> np.ndarray:
     R[bars, 2 * p[:, None] + axes] = 2.0 * d
     R[bars, 2 * q[:, None] + axes] = -2.0 * d
     R[np.arange(m, R.shape[0]), (2 * anchored[:, None] + axes).ravel()] = 1.0
-    R /= np.linalg.norm(R, axis=1)[:, None]
+    R /= np.sqrt((R * R).sum(axis=1))[:, None]
     return R
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryRowsError, IntegrationDiverged, ParameterError
-from .networks import ROW_SPACING, Network
+from .networks import ROW_SPACING, Network, lattice_dims
 
 #: Energy at or below this many noise-variance units per edge is considered
 #: indistinguishable from the noise floor.
@@ -217,13 +217,6 @@ def relax_all(networks: list[Network], config: SimConfig,
     return results
 
 
-def _lattice_dims(network: Network) -> tuple[int, int]:
-    # a set, not np.unique, which imports numpy.ma (about 1 MB) on first use
-    ny = len(set(np.round(network.positions[:, 1] / ROW_SPACING).astype(int).tolist()))
-    nx = int((network.positions[:, 1] < 0.5 * ROW_SPACING).sum())
-    return nx, ny
-
-
 def _row_nodes(network: Network, row_y: float) -> np.ndarray:
     return np.flatnonzero(np.abs(network.positions[:, 1] - row_y) < 0.25 * ROW_SPACING)
 
@@ -243,7 +236,7 @@ def shear_moduli(networks: list[Network], config: SimConfig) -> list[SimResult]:
     """
     sheared, areas = [], []
     for network in networks:
-        nx, ny = _lattice_dims(network)
+        nx, ny = lattice_dims(network)
         if nx < 2 or ny < 2:
             raise BoundaryRowsError("network has no identifiable rows")
         y0 = float(network.positions[:, 1].min())

@@ -89,6 +89,18 @@ def max_residual(R, basis):
     return max((m.max_residual(R) for m in basis.modes), default=0.0)
 
 
+def basis_digest(bases):
+    """SHA-256 over the ``ModeBasis`` objects in ``bases``, in order, floats by their bits."""
+    h = hashlib.sha256()
+    for basis in bases:
+        h.update(repr((basis.method, basis.seed)).encode())
+        for m in basis.modes:
+            h.update(m.vector.tobytes())
+            h.update(repr(([int(i) for i in m.support], m.size_s,
+                           [int(u) for u in m.node_support], m.tag)).encode())
+    return h.hexdigest()
+
+
 def trace_digest(trace):
     """SHA-256 over everything a ``ControlTrace`` reports, floats by their bits."""
     h = hashlib.sha256()

@@ -313,6 +313,23 @@ class TestRigidifyCommand:
         assert rows[2].startswith("1,1,3,3,")
 
 
+    def test_lattice_without_size_metadata(self, tmp_path):
+        # the lattice size comes from the geometry, so a file without the
+        # nx/ny metadata tunes exactly as the generated one
+        full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+        assert run(["--seed", 5, "generate", "--kind", "triangular_lattice",
+                    "--nx", 5, "--ny", 5, "--dilution", 0.6, "--boundary",
+                    "fixed_rows", "--out", full]) == 0
+        data = json.loads(full.read_text())
+        del data["metadata"]["nx"], data["metadata"]["ny"]
+        bare.write_text(json.dumps(data))
+        for net in (full, bare):
+            assert run(["--seed", 6, "rigidify", "--network", net, "--protocol",
+                        "ms", "--stop-at", 2, "--steps", 300,
+                        "--out", net.with_suffix(".csv")]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 class TestPredictCommand:
     def test_prediction_and_scoring(self, tmp_path):
         netfile = tmp_path / "net.json"

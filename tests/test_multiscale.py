@@ -1,4 +1,3 @@
-import hashlib
 import logging
 
 import networkx as nx
@@ -9,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from floppynet import multiscale, networks, nullspace, rigidity
 from floppynet.networks import GeneratorSpec
 
-from conftest import (NEAR_DEGENERATE_DELTAS, lattice, max_residual,
-                      named_network, near_degenerate, panel)
+from conftest import (NEAR_DEGENERATE_DELTAS, basis_digest, lattice,
+                      max_residual, named_network, near_degenerate, panel)
 
 
 def _networkx_hinges(network):
@@ -169,14 +168,15 @@ class TestMultiscaleBasis:
             basis = multiscale.multiscale_basis(net)
             assert max_residual(rigidity.build(net), basis) <= 1e-8
 
-    def test_short_basis_warns(self, near_degenerate_chain, caplog):
-        # the SVD counts one mode, and neither the hinge layer nor SND builds it
+    def test_chain_holds_the_snd_mode_count(self, near_degenerate_chain, caplog):
+        # the SVD counts one mode, SND builds none; the count is SND's, so
+        # the basis is complete at 0 modes and nothing is logged as short
+        R = rigidity.build(near_degenerate_chain)
+        assert rigidity.dof(R) == 1
         with caplog.at_level(logging.WARNING, logger="floppynet.multiscale"):
             basis = multiscale.multiscale_basis(near_degenerate_chain)
-        assert len(basis) == 0
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert [r.getMessage() for r in warnings] == [
-            "multiscale-short: the basis holds 0 modes, but the SVD counts 1"]
+        assert len(basis) == len(nullspace.snd_basis(R)) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_full_basis_does_not_warn(self, molecule, caplog):
         with caplog.at_level(logging.WARNING, logger="floppynet.multiscale"):
@@ -258,7 +258,7 @@ def test_distal_section_matches_component_reference(size, dilution, seed):
                 == _reference_section(net, h))
 
 
-# multiscale_basis(seed=0) then (seed=5), hashed by _basis_digest; recorded
+# multiscale_basis(seed=0) then (seed=5), hashed by basis_digest; recorded
 # from the networkx-based hinge search that find_hinges replaced, except the
 # molecule and panels, re-recorded when the side search came to read only the
 # pieces of G - hinge that hold a neighbour of the hinge
@@ -279,18 +279,18 @@ PINNED_BASES = {
 }
 
 
-def _basis_digest(network):
-    h = hashlib.sha256()
-    for seed in (0, 5):
-        basis = multiscale.multiscale_basis(network, seed=seed)
-        h.update(repr((basis.method, basis.seed)).encode())
-        for m in basis.modes:
-            h.update(m.vector.tobytes())
-            h.update(repr(([int(i) for i in m.support], m.size_s,
-                           [int(u) for u in m.node_support], m.tag)).encode())
-    return h.hexdigest()
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_multiscale_basis_bytes_pinned(name):
+    net = named_network(name)
+    digest = basis_digest(multiscale.multiscale_basis(net, seed=seed)
+                          for seed in (0, 5))
+    assert digest == PINNED_BASES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
-def test_multiscale_basis_bytes_pinned(name):
-    assert _basis_digest(named_network(name)) == PINNED_BASES[name]
+def test_mode_count_equals_snd_count(name):
+    net = named_network(name)
+    R = rigidity.build(net)
+    for seed in (0, 5):
+        assert (len(multiscale.multiscale_basis(net, seed))
+                == len(nullspace.snd_basis(R, seed)))

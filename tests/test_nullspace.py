@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from floppynet import networks, nullspace, rigidity
 from floppynet.errors import NumericalBreakdown
 
-from conftest import max_residual
+from conftest import basis_digest, max_residual, panel
 
 
 class TestSndBasis:
@@ -59,15 +59,15 @@ class TestSndBasis:
 
 
     def test_duplicated_constraint_is_redundant(self, lattice_4x4):
-        # a repeated row is already satisfied by every surviving row, so it
-        # is skipped and retires no row
+        # a repeated row, or an all-zero one (no columns to read), is already
+        # satisfied by every surviving row, so it is skipped and retires no row
         R = rigidity.build(lattice_4x4)
         k = 3
-        dup = np.insert(R, k + 1, R[k], axis=0)
         before = nullspace.snd_basis(R)
-        after = nullspace.snd_basis(dup)
-        assert len(after) == len(before)
-        assert np.array_equal(after.vectors(), before.vectors())
+        for extra in (R[k], np.zeros(R.shape[1])):
+            after = nullspace.snd_basis(np.insert(R, k + 1, extra, axis=0))
+            assert len(after) == len(before)
+            assert np.array_equal(after.vectors(), before.vectors())
 
     def test_breakdown_names_where_elimination_stopped(self, lattice_4x4):
         R = rigidity.build(lattice_4x4)
@@ -84,6 +84,34 @@ class TestSndBasis:
 # the decompose panel of the benchmark: (size, generator seed, participation)
 BENCHMARK_PANEL = [(25, 0, 6414), (15, 1, 666), (15, 2, 455), (15, 3, 328),
                    (15, 4, 489)]
+
+
+# snd_basis (no shuffle) on each panel lattice, hashed by basis_digest;
+# recorded before the one-pass column read and the trimmed row update
+PINNED_SND = {
+    0: "149159f1ac65b8651222feaa350ae09cadb72958a2e44f79489537a1c2f93575",
+    1: "02bc9a0447e7d36c6c676be8dd51e133d36cb1f59e1dd41f68d0e84002534e9d",
+    2: "8fd344d29d7fbfb6bf3062c7a33239980924d8e4b51e97fd61c351c2e2205845",
+    3: "839e15105ccd90098d2140b3a283d8f8e1f72bac94a81f7b8977c9672aea3c17",
+    4: "bf60f70f5407c3e10c9de5c970c93ac04c2ba2327dbc544ca9f4cf26e93e53e1",
+}
+
+# ensemble(R, m=10) on the 48-disk, target-18 packing of seed 1, recorded
+# with PINNED_SND
+PINNED_ENSEMBLE = "8a09c7b6e765d20d56c5d9b502d29e03e8bd76789b80be80079e0aadcf248a71"
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_SND))
+def test_snd_basis_bytes_pinned(k):
+    R = rigidity.build(panel(k))
+    assert basis_digest([nullspace.snd_basis(R)]) == PINNED_SND[k]
+
+
+def test_ensemble_bytes_pinned():
+    net = networks.generate_bidisperse_packing(networks.GeneratorSpec(
+        kind="bidisperse_packing", seed=1, n_disks=48, target_dof=18))
+    bases = nullspace.ensemble(rigidity.build(net), m=10)
+    assert basis_digest(bases) == PINNED_ENSEMBLE
 
 
 @pytest.mark.parametrize("size,seed,participation", BENCHMARK_PANEL)
@@ -127,10 +155,14 @@ class TestSvdBasis:
         gram = vectors @ vectors.T
         assert np.abs(gram - np.eye(len(gram))).max() <= 1e-10
 
-    def test_empty_matrix_gives_identity_modes(self):
+    @pytest.mark.parametrize("decompose", [nullspace.svd_basis,
+                                           nullspace.snd_basis],
+                             ids=["svd_basis", "snd_basis"])
+    def test_empty_matrix_gives_identity_modes(self, decompose):
         net = networks.Network([(0, 0), (1, 0)], [])
         R = rigidity.build(net)
-        basis = nullspace.svd_basis(R)
+        assert R.shape == (0, 4)
+        basis = decompose(R)
         assert len(basis) == 4
         assert all(m.size_s == 1 for m in basis.modes)
 

@@ -27,6 +27,15 @@ class TestCandidateLinks:
         full = set(networks.lattice_edges(5, 5))
         assert set(cands) | diluted_5x5.edge_set() == full
 
+    @pytest.mark.parametrize("dims", [(5, 5), (7, 4), (3, 8)], ids=["5x5", "7x4", "3x8"])
+    def test_lattice_size_read_from_geometry(self, dims):
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", dimensions=dims, dilution_fraction=0.6,
+            seed=2, boundary="fixed_rows"))
+        meta = {k: v for k, v in net.metadata.items() if k not in ("nx", "ny")}
+        bare = networks.Network(net.positions, net.edges, net.fixed, meta)
+        assert rigidify.candidate_links(bare) == rigidify.candidate_links(net)
+
     def test_proximity_pool_for_non_lattice(self, robot_arm):
         cands = rigidify.candidate_links(robot_arm)
         lengths = [np.linalg.norm(robot_arm.positions[a] - robot_arm.positions[b])
