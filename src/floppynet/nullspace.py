@@ -2,8 +2,9 @@
 
 Two decompositions of the rigidity null space: an iterative projection
 scheme seeded with the identity that eliminates one constraint row at a time
-while keeping the working rows sparse (``snd_basis``), and a plain SVD
-baseline (``svd_basis``).  Elimination retires each pivot row in place and
+while keeping the working rows sparse (``eliminate``, whose rows
+``snd_basis`` finalises into modes), and a plain SVD baseline
+(``svd_basis``).  Elimination retires each pivot row in place and
 projects only on a constraint's nonzero columns, so a constraint costs O(n)
 per working row it scores or updates rather than O(n^2) for the whole
 working matrix.  Mode size, participation rate, and per-node involvement

@@ -155,16 +155,14 @@ class TestSvdBasis:
         gram = vectors @ vectors.T
         assert np.abs(gram - np.eye(len(gram))).max() <= 1e-10
 
-    @pytest.mark.parametrize("decompose", [nullspace.svd_basis,
-                                           nullspace.snd_basis],
-                             ids=["svd_basis", "snd_basis"])
-    def test_empty_matrix_gives_identity_modes(self, decompose):
+    def test_empty_matrix_gives_identity_modes(self):
         net = networks.Network([(0, 0), (1, 0)], [])
         R = rigidity.build(net)
         assert R.shape == (0, 4)
-        basis = decompose(R)
-        assert len(basis) == 4
-        assert all(m.size_s == 1 for m in basis.modes)
+        for decompose in (nullspace.svd_basis, nullspace.snd_basis):
+            basis = decompose(R)
+            assert len(basis) == 4
+            assert all(m.size_s == 1 for m in basis.modes)
 
 
 class TestSpanEquivalence:
