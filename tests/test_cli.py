@@ -312,7 +312,6 @@ class TestRigidifyCommand:
         assert rows[0] == "step,added_a,added_b,edge_count,G"
         assert rows[2].startswith("1,1,3,3,")
 
-
     def test_lattice_without_size_metadata(self, tmp_path):
         # the lattice size comes from the geometry, so a file without the
         # nx/ny metadata tunes exactly as the generated one
