@@ -265,7 +265,8 @@ def cmd_compare(args) -> None:
         net = networks.hinged_fixture()
         data = experiments.involvement_comparison(net, args.n, args.seed)
     elif args.experiment == "grasping":
-        data = experiments.grasping_experiment(args.n, args.seed, args.method)
+        method = "multiscale" if args.method is None else args.method
+        data = experiments.grasping_experiment(args.n, args.seed, method)
         data["mean_first_activation"] = {
             str(k): v for k, v in data["mean_first_activation"].items()}
     elif args.experiment == "energy":
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["participation", "involvement", "grasping",
                             "energy"])
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--method", default="multiscale")
+    p.add_argument("--method", help="grasping only (default multiscale)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -371,6 +372,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.func is cmd_decompose and args.ensemble > 1 and args.method != "snd":
         parser.error(f"decompose --ensemble runs SND only, not --method {args.method}")
+    if (args.func is cmd_compare and args.method is not None
+            and args.experiment != "grasping"):
+        parser.error(f"compare --method applies to grasping only, "
+                     f"not --experiment {args.experiment}")
     if args.func is cmd_render:
         option = ("basis" if args.overlay.startswith("mode:")
                   else _OVERLAY_INPUTS.get(args.overlay))

@@ -8,7 +8,7 @@ graph structure.
 
 The bond graph is a plain list of neighbour lists.  The components and
 hinges come from one iterative Hopcroft–Tarjan depth-first pass over it,
-and the isolated-node loop and the side search read the same lists.
+and the side search reads the same lists.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     of those already kept.  The plain sparse elimination of the whole network
     (``nullspace.eliminate``, shuffled by ``seed``) gives the mode count; if
     the assembled set falls short of it, the deficit is filled from that
-    elimination's modes.
+    elimination's modes.  An isolated free node lies in no constraint row,
+    so its two unit coordinate modes come from that fill.
     """
     # the plain elimination counts the modes; its rows are finalised only
     # if the candidates below fall short
@@ -189,15 +190,6 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
             return
         accepted.append(mode)
         ortho.append(r / norm)
-
-    # free-floating isolated nodes move one coordinate at a time
-    for u in range(network.n_nodes):
-        if adjacency[u] or network.fixed[u]:
-            continue
-        for axis in (0, 1):
-            v = np.zeros(network.n_coords)
-            v[2 * u + axis] = 1.0
-            try_accept(make_mode(v, tag="component-local"))
 
     # one rotation per hinge; fixed nodes act as hinges to ground
     hinge_nodes = sorted(decomp.articulation_nodes
@@ -222,10 +214,11 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         basis = nullspace.snd_basis(R_comp, shuffle_seed=seed + ci)
         if not basis.modes:
             continue
+        # the lift only adds zeros, so each mode stays finalised
         lifted = np.zeros((len(basis), network.n_coords))
         lifted[:, (2 * nodes[:, None] + np.arange(2)).ravel()] = basis.vectors()
         for v in lifted:
-            try_accept(make_mode(v, tag="component-local"))
+            try_accept(Mode(v, tag="component-local"))
 
     if len(accepted) < total:
         log.info("multiscale-incomplete: %d of %d modes assembled; "

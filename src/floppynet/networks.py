@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     SelfLoopError,
 )
+from . import rigidity
 
 #: Vertical spacing between triangular-lattice rows for unit bond length.
 ROW_SPACING = math.sqrt(3.0) / 2.0
@@ -543,9 +544,7 @@ def generate_bidisperse_packing(spec: GeneratorSpec) -> Network:
         net.metadata["removed_edges"] = str(len(removed))
         return net
 
-    # Re-draw removal sets, nudging the count, until the DoF target is hit.
-    from . import rigidity  # deferred import; rigidity depends on this module
-
+    # Re-draw removal sets, nudging the count, until the DoF target is hit;
     # removing edges never lowers the DoF, so a target below the full
     # contact network's DoF is out of reach
     full_dof = rigidity.dof(rigidity.build(full))

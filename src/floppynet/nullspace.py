@@ -14,7 +14,7 @@ quantify how local a basis is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,22 @@ _LEAD_REL = 1e-12
 
 @dataclass
 class Mode:
-    """One floppy mode: a unit null vector with its support bookkeeping."""
+    """One floppy mode: a unit null vector and a tag.
+
+    Its support (the coordinates of its nonzero entries), size and node set
+    are read from the vector, so they cannot disagree with it.
+    """
 
     vector: np.ndarray
-    support: tuple[int, ...]
-    size_s: int
-    node_support: tuple[int, ...]
     tag: str = ""
+    support: tuple[int, ...] = field(init=False)
+    size_s: int = field(init=False)
+    node_support: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.support = tuple(self.vector.nonzero()[0].tolist())
+        self.size_s = len(self.support)
+        self.node_support = tuple(sorted({i // 2 for i in self.support}))
 
     def max_residual(self, R: np.ndarray) -> float:
         return float(np.abs(R @ self.vector).max()) if R.shape[0] else 0.0
@@ -65,9 +74,6 @@ class ModeBasis:
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
 
     @property
     def participation(self) -> int:
@@ -92,11 +98,9 @@ def _finalize_vector(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return v
     v /= norm
+    # a unit vector keeps an entry of at least 1/sqrt(n), far above ZERO_TOL
     v[np.abs(v) < ZERO_TOL] = 0.0
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        return v
-    v /= norm
+    v /= math.sqrt(v.dot(v))
     mag = np.abs(v)
     lead = (mag >= mag.max() * (1.0 - _LEAD_REL)).argmax()    # the first such entry
     if v[lead] < 0:
@@ -105,10 +109,7 @@ def _finalize_vector(v: np.ndarray) -> np.ndarray:
 
 
 def make_mode(vector: np.ndarray, tag: str = "") -> Mode:
-    v = _finalize_vector(vector)
-    support = tuple(v.nonzero()[0].tolist())
-    nodes = tuple(sorted({i // 2 for i in support}))
-    return Mode(v, support, len(support), nodes, tag)
+    return Mode(_finalize_vector(vector), tag)
 
 
 def _mode_sort_key(mode: Mode):

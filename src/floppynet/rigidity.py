@@ -8,10 +8,14 @@ coordinate axis.  Scaling the rows leaves the null space unchanged.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import DegenerateEdgeError
-from .networks import Network
+
+if TYPE_CHECKING:
+    from .networks import Network
 
 #: Relative singular-value cutoff for rank decisions.
 RANK_TOL = 1e-9
@@ -59,13 +63,6 @@ def shuffle_rows(R: np.ndarray, seed: int) -> np.ndarray:
     return R[np.random.default_rng(seed).permutation(R.shape[0])]
 
 
-def numeric_rank(R: np.ndarray) -> int:
-    """Count of singular values above ``RANK_TOL`` times the largest."""
-    if R.shape[0] == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(R, compute_uv=False))
-
-
 def rank_from_singular_values(s: np.ndarray) -> int:
     """Count of descending singular values ``s`` above ``RANK_TOL`` times the largest."""
     if s.size == 0 or s[0] == 0.0:
@@ -74,5 +71,8 @@ def rank_from_singular_values(s: np.ndarray) -> int:
 
 
 def dof(R: np.ndarray) -> int:
-    """Null-space dimension: total coordinates minus numeric rank."""
-    return R.shape[1] - numeric_rank(R)
+    """Null-space dimension: total coordinates minus the count of singular
+    values above ``RANK_TOL`` times the largest."""
+    if R.shape[0] == 0:
+        return R.shape[1]
+    return R.shape[1] - rank_from_singular_values(np.linalg.svd(R, compute_uv=False))

@@ -170,6 +170,39 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith("error [schema-violation]")
         assert list(tmp_path.iterdir()) == [netfile]
 
+    @pytest.mark.parametrize("document, says", [
+        pytest.param('[{"id": 0, "x": 0.0, "y": 0.0}]',
+                     "top-level value must be an object", id="not-an-object"),
+        pytest.param('{"edges": []}', "missing field 'nodes'", id="no-nodes"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0}]}',
+                     "missing field 'edges'", id="no-edges"),
+        pytest.param('{"nodes": [], "edges": []}',
+                     "field 'nodes' must be a non-empty list", id="empty-nodes"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0},'
+                     ' {"id": 2, "x": 1.0, "y": 0.0}], "edges": []}',
+                     "node id 2 not contiguous from 0", id="id-gap"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0},'
+                     ' {"id": 0, "x": 1.0, "y": 0.0}], "edges": []}',
+                     "duplicate node id 0", id="id-twice"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0},'
+                     ' {"id": 1, "x": 1.0, "y": 0.0}], "edges": [{"a": 0}]}',
+                     "edge entry missing field 'b'", id="edge-without-b"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0},'
+                     ' {"id": 1, "x": 1.0, "y": 0.0}], "edges": [{"b": 1}]}',
+                     "edge entry missing field 'a'", id="edge-without-a"),
+        pytest.param('{"nodes": [{"id": 0, "x": 0.0, "y": 0.0}], "edges": [],'
+                     ' "metadata": ["nx", 4]}',
+                     "field 'metadata' must be an object", id="metadata-a-list"),
+    ])
+    def test_malformed_document_is_a_schema_violation(self, tmp_path, capsys,
+                                                      document, says):
+        netfile = tmp_path / "net.json"
+        netfile.write_text(document)
+        assert run(["decompose", "--network", netfile,
+                    "--out", tmp_path / "basis.json"]) == 1
+        assert capsys.readouterr().err == f"error [schema-violation]: {says}\n"
+        assert list(tmp_path.iterdir()) == [netfile]
+
     @pytest.mark.parametrize("raw", [pytest.param(b"{nodes", id="not-json"),
                                      pytest.param(b"\xff\xfe{}", id="not-text")])
     def test_unparsable_network_names_its_path(self, tmp_path, capsys, raw):
@@ -495,6 +528,32 @@ class TestCompareCommand:
         data = json.loads(out.read_text())
         assert data["mean_P_snd"] < data["mean_P_svd"]
         assert 0 <= data["p_value"] <= 1
+
+    def test_energy_one_pair(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run(["--seed", 1, "compare", "--experiment", "energy", "--n", 1,
+                    "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert (data["pairs_completed"], data["attempts"]) == (1, 1)
+        assert len(data["energies"]) == 1
+
+    @pytest.mark.parametrize("experiment", ["participation", "involvement",
+                                            "energy"])
+    def test_method_refused_outside_grasping(self, tmp_path, capsys, experiment):
+        out = tmp_path / "cmp.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["--seed", 1, "compare", "--experiment", experiment,
+                 "--method", "SVD", "--n", 2, "--out", out])
+        assert exc.value.code == 2
+        assert "grasping only" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unwritable_output_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["generate", "--kind", "robot_arm", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error [io]: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, says", [

@@ -72,8 +72,7 @@ class TestMatchModes:
         R = rigidity.build(robot_arm)
         basis = nullspace.snd_basis(R)
         flipped = nullspace.ModeBasis(
-            [nullspace.Mode(-m.vector, m.support, m.size_s, m.node_support)
-             for m in basis.modes], "SND")
+            [nullspace.Mode(-m.vector) for m in basis.modes], "SND")
         assert control.match_modes(flipped, basis).tolist() == [0, 1, 2, 3]
 
     def test_rotated_pair_maximizes_total_cosine(self):
@@ -236,6 +235,9 @@ def _grasp_task(k, method):
 
 # SHA-256 of every trace (``conftest.trace_digest``), recorded before the step
 # scored all modes and signs in one array; each must stay bit-identical.
+# Reach multiscale 0 was re-recorded when component modes stopped being
+# finalised twice: its energies move by round-off from step 29 on, and step
+# 43 activates mode 7 in place of mode 6.
 PINNED_TRACES = {
     ("reach", "SND"): [
         "beeacef15bb1b70a092bffe7fc0efba152198c7bcbc3f9b0c060c91a3de5a814",
@@ -254,7 +256,7 @@ PINNED_TRACES = {
         "9bae16fbebac9b6d2973cdc52d9a22c9e712896c63062880de5ad572d4be9f73",
     ],
     ("reach", "multiscale"): [
-        "7def7f53c4e961df0cb5ed8df09574106e88fad94c483f106ce5ddd651462d34",
+        "696966fed578e5839d99630480462ec86c4c438df748a80ffcadc41ada321cc9",
         "3184dde1adf7a12beaac04745a49219b846184e84efeceef61e6a7c76edb6477",
         "fb3f4797f88aaec01a3d6c83b7f1d574b30eab6d51133ed8098995f10590fb2f",
         "c182f2b5e9df59a28812252e56c8710b88fbce5fc2a76edd8ef8d756ddb44e8b",

@@ -32,6 +32,17 @@ def _graph(n_nodes, edges):
     return networks.Network(positions, [(a, b, 1.0) for a, b in edges])
 
 
+def _hinged_with_lone_node():
+    """Triangles 0-1-2 and 1-3-4 sharing hinge 1, a square 3-5-6-7 hanging
+    off hinge 3, node 0 fixed, and node 8 free and bonded to nothing."""
+    return networks.Network(
+        [(0, 0), (1, 0), (0.5, 0.8), (2, 0), (1.5, 0.8), (3, 0), (3, 1), (2, 1),
+         (4, -1)],
+        [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5), (5, 6),
+         (6, 7), (3, 7)],
+        [True] + [False] * 8)
+
+
 def _random_lattices():
     rng = np.random.default_rng(2024)
     return [lattice(int(rng.integers(4, 12)), float(rng.uniform(0.3, 0.8)),
@@ -209,9 +220,15 @@ class TestMultiscaleBasis:
         assert len(multiscale.multiscale_basis(net)) == 0
 
     def test_isolated_free_node_modes(self, molecule):
-        basis = multiscale.multiscale_basis(molecule)
-        lone = [m for m in basis.modes if set(m.node_support) == {7}]
-        assert len(lone) == 2
+        # the node lies in no constraint row, so the plain elimination's
+        # fill gives its two unit coordinate modes
+        for net, node in ((molecule, 7), (_hinged_with_lone_node(), 8)):
+            basis = multiscale.multiscale_basis(net)
+            lone = [m for m in basis.modes if set(m.node_support) == {node}]
+            assert [(m.support, m.vector[m.support[0]], m.tag) for m in lone] == [
+                ((2 * node,), 1.0, "component-local"),
+                ((2 * node + 1,), 1.0, "component-local")]
+            assert len(basis) == len(nullspace.snd_basis(rigidity.build(net)))
 
     def test_pinned_hinge_rotation_discarded(self):
         # each fixed node's only side holds the other fixed node, so neither
@@ -261,18 +278,21 @@ def test_distal_section_matches_component_reference(size, dilution, seed):
 # multiscale_basis(seed=0) then (seed=5), hashed by basis_digest; recorded
 # from the networkx-based hinge search that find_hinges replaced, except the
 # molecule and panels, re-recorded when the side search came to read only the
-# pieces of G - hinge that hold a neighbour of the hinge
+# pieces of G - hinge that hold a neighbour of the hinge, and the panels and
+# reaching network, re-recorded when component modes stopped being finalised
+# a second time after their lift (entries moved by at most 1.1e-16, and
+# zeros kept the sign SND gave them)
 PINNED_BASES = {
     "robot_arm": "9a5e742ade8fa55ad00d004a7bd817e34ce1a0a3301d149915c0b19b6e1bdaed",
     "molecule": "279436b19aab135f875c55d9aa4e868eafdfb5dc96653a730d1c6b0a493c882d",
     "lattice_4x4": "fc372c48edc68c2aad86398abdb7f42eb5829890f53ec83f33fec4898813c7d6",
     "hinged": "ceb1d882ee7cdce2d1e37940974e7930fe2d38ed11bc4cbd7f0e54726bc546fa",
-    "reaching": "6795a00aa7baaff1b6c400b5ae6e7fa0ca93da9dc2243441de3bd4cc0150bca3",
-    "panel0": "0fddf4f5ee1e37d62fc86c1445cceafa1aa25c2b44f2252eb92a3bbfbad8666c",
-    "panel1": "b683863e4d1b8d97e88778cdf724a3b35c0359d6930113fecc4a575f9f791f1c",
-    "panel2": "4568558f4f86efa49d6ac49d56678b00656cb142172952291345c0c6ce92958e",
-    "panel3": "aa870ee28d4e0647b5d96cf0c2963687fd757dfa61cbecc78153211416d28763",
-    "panel4": "f2a0b7512b926b1f3b850904048ea2082134f933df778d562c89ecd5e66375a9",
+    "reaching": "82cc063a8100904cbc8908610d1c29a170e583bbc568165a7ac75652eed4f3e4",
+    "panel0": "0e57e69898472a32a402167b524560f2d3f8dadf29314c50538abf017128a7fd",
+    "panel1": "8c4f459724148f14b6be734ce84e543258e6b1d5968c112b0898263b8b9c84de",
+    "panel2": "8d5033cb471411db1080d66a5ebf267f7292a2e2412b1dd4e4cf6a91690ef0bb",
+    "panel3": "d9d5cb5d8548383bebed56368de63bb5138996fd8cc7c438336ab75eb5499275",
+    "panel4": "0afe767e60fcc4809476ab0a2a808c5f3c1d0b5a47d2051e906cefc21e78c5e4",
     "arm0": "32b9c39114ba1ff351a469c470182ba1d8ad805159b6a6b3cf243e393c9f2c3f",
     "arm1": "e6f9db3f943396eb881ad546a1fb5d4f71e14a55c722a089afb2d1febf6400f3",
     "arm2": "a36e699ce06b8d6920a1021f60ea6806e7032304b3b72e46edf21cd6de6c7ca8",
@@ -294,3 +314,35 @@ def test_mode_count_equals_snd_count(name):
     for seed in (0, 5):
         assert (len(multiscale.multiscale_basis(net, seed))
                 == len(nullspace.snd_basis(R, seed)))
+
+
+def _lifted_component_modes(network, seed):
+    """Bytes of every component's SND mode, lifted to the whole network, as
+    ``multiscale_basis`` anchors and seeds each component."""
+    decomp = multiscale.find_hinges(network)
+    anchored = network.fixed.copy()
+    anchored[list(decomp.articulation_nodes)] = True
+    lifted = set()
+    for ci, comp in enumerate(decomp.components):
+        nodes = np.array(comp.nodes)
+        R = rigidity.assemble(network.positions[nodes],
+                              np.searchsorted(nodes, comp.edges), anchored[nodes])
+        for v in nullspace.snd_basis(R, seed + ci).vectors():
+            w = np.zeros(network.n_coords)
+            w[(2 * nodes[:, None] + np.arange(2)).ravel()] = v
+            lifted.add(w.tobytes())
+    return lifted
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_component_local_modes_are_snd_modes_bit_for_bit(name):
+    # a component-local mode is a component's SND mode with zeros around it,
+    # or a mode of the plain elimination's fill; neither is finalised again
+    net = named_network(name)
+    for seed in (0, 5):
+        lifted = _lifted_component_modes(net, seed)
+        fill = {nullspace.make_mode(row).vector.tobytes()
+                for row in nullspace.eliminate(rigidity.build(net), seed)}
+        for m in multiscale.multiscale_basis(net, seed).modes:
+            if m.tag == "component-local":
+                assert m.vector.tobytes() in lifted | fill

@@ -366,37 +366,44 @@ class TestValidation:
             networks.load(path)
 
 
-# One fault per input, on three nodes of which 0 and 1 coincide at the origin.
+# One fault per input, on three nodes of which 0 and 1 coincide at the
+# origin and none is fixed, unless the row gives its own positions or flags.
+THREE_NODES = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+
+
+def fault(edges, error, message, id, positions=THREE_NODES, fixed=None):
+    return pytest.param(positions, edges, fixed, error, message, id=id)
+
+
 SINGLE_FAULTS = [
-    pytest.param([(2, 2)], SelfLoopError, "edge (2,2) is a self-loop",
-                 id="self-loop-pair"),
-    pytest.param([(0, 2), (2, 5)], SchemaError,
-                 "edge (2,5) references a missing node", id="missing-node-pair"),
-    pytest.param([(-1, 2, 1.0)], SchemaError,
-                 "edge (-1,2) references a missing node", id="missing-node-triple"),
-    pytest.param([(0, 2), (1, 0)], SchemaError,
-                 "edge (1,0) joins coincident nodes", id="coincident-pair"),
-    pytest.param([(0, 2), (2, 0, 1.0)], DuplicateEdgeError,
-                 "edge (0,2) appears twice", id="duplicate"),
-    pytest.param([(2, 1, 0.0)], SchemaError,
-                 "edge (1,2) rest_length 0.0 is not positive and finite",
-                 id="rest-zero"),
-    pytest.param([(2, 1, -1.0)], SchemaError,
-                 "edge (1,2) rest_length -1.0 is not positive and finite",
-                 id="rest-negative"),
-    pytest.param([(2, 1, math.nan)], SchemaError,
-                 "edge (1,2) rest_length nan is not positive and finite",
-                 id="rest-nan"),
-    pytest.param([(2, 1, math.inf)], SchemaError,
-                 "edge (1,2) rest_length inf is not positive and finite",
-                 id="rest-inf"),
+    fault([(2, 2)], SelfLoopError, "edge (2,2) is a self-loop", "self-loop-pair"),
+    fault([(0, 2), (2, 5)], SchemaError, "edge (2,5) references a missing node",
+          "missing-node-pair"),
+    fault([(-1, 2, 1.0)], SchemaError, "edge (-1,2) references a missing node",
+          "missing-node-triple"),
+    fault([(0, 2), (1, 0)], SchemaError, "edge (1,0) joins coincident nodes",
+          "coincident-pair"),
+    fault([(0, 2), (2, 0, 1.0)], DuplicateEdgeError, "edge (0,2) appears twice",
+          "duplicate"),
+    fault([(2, 1, 0.0)], SchemaError,
+          "edge (1,2) rest_length 0.0 is not positive and finite", "rest-zero"),
+    fault([(2, 1, -1.0)], SchemaError,
+          "edge (1,2) rest_length -1.0 is not positive and finite", "rest-negative"),
+    fault([(2, 1, math.nan)], SchemaError,
+          "edge (1,2) rest_length nan is not positive and finite", "rest-nan"),
+    fault([(2, 1, math.inf)], SchemaError,
+          "edge (1,2) rest_length inf is not positive and finite", "rest-inf"),
+    fault([], SchemaError, "positions must be an (N, 2) array", "positions-shape",
+          positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
+    fault([], SchemaError, "fixed must be a length-N boolean array", "fixed-shape",
+          fixed=[True, False]),
 ]
 
 
-@pytest.mark.parametrize("edges, error, message", SINGLE_FAULTS)
-def test_single_fault_edge_is_rejected(edges, error, message):
+@pytest.mark.parametrize("positions, edges, fixed, error, message", SINGLE_FAULTS)
+def test_single_fault_edge_is_rejected(positions, edges, fixed, error, message):
     with pytest.raises(error) as info:
-        networks.Network([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], edges)
+        networks.Network(positions, edges, fixed)
     assert type(info.value) is error
     assert str(info.value) == message
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +139,22 @@ class TestModeSign:
     def test_clear_maximum_leads(self):
         mode = nullspace.make_mode(np.array([0.3, -0.9, 0.1]))
         assert mode.vector[1] > 0
+
+
+class TestModeBookkeeping:
+    def test_read_from_the_vector(self, hinged):
+        for m in nullspace.snd_basis(rigidity.build(hinged)).modes:
+            support = tuple(np.flatnonzero(m.vector).tolist())
+            assert m.support == support
+            assert m.size_s == len(support)
+            assert m.node_support == tuple(sorted({i // 2 for i in support}))
+
+    def test_replace_recomputes(self):
+        mode = nullspace.make_mode(np.array([0.0, 0.6, 0.0, 0.0, 0.8, 0.0]), "x")
+        assert (mode.support, mode.size_s, mode.node_support) == ((1, 4), 2, (0, 2))
+        moved = dataclasses.replace(mode, vector=np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+        assert (moved.support, moved.size_s, moved.node_support, moved.tag) == (
+            (2,), 1, (1,), "x")
 
 
 class TestSvdBasis:

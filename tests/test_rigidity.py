@@ -82,7 +82,6 @@ class TestBuild:
     def test_pinned_bar(self, pinned_bar):
         R = rigidity.build(pinned_bar)
         assert R.shape == (3, 4)
-        assert rigidity.numeric_rank(R) == 3
         assert rigidity.dof(R) == 1
         # the null vector rotates the free end about the pin
         _, _, vt = np.linalg.svd(R)
@@ -221,7 +220,6 @@ class TestRank:
     def test_empty_matrix(self):
         net = networks.Network([(0, 0), (1, 0)], [])
         R = rigidity.build(net)
-        assert rigidity.numeric_rank(R) == 0
         assert rigidity.dof(R) == 4
 
 
