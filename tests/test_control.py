@@ -236,8 +236,9 @@ def _grasp_task(k, method):
 # SHA-256 of every trace (``conftest.trace_digest``), recorded before the step
 # scored all modes and signs in one array; each must stay bit-identical.
 # Reach multiscale 0 was re-recorded when component modes stopped being
-# finalised twice: its energies move by round-off from step 29 on, and step
-# 43 activates mode 7 in place of mode 6.
+# finalised twice: its positions move by round-off from step 30 on, SND
+# pivots on those positions change a mode's support at steps 39 and 42, and
+# step 43 activates mode 7 in place of mode 6.
 PINNED_TRACES = {
     ("reach", "SND"): [
         "beeacef15bb1b70a092bffe7fc0efba152198c7bcbc3f9b0c060c91a3de5a814",
