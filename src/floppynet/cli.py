@@ -370,6 +370,10 @@ _OVERLAY_INPUTS = {"globality": "prediction", "prediction": "prediction",
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be at least 0, not {args.seed}")
+    if args.func is cmd_decompose and args.ensemble < 1:
+        parser.error(f"decompose --ensemble must be at least 1, not {args.ensemble}")
     if args.func is cmd_decompose and args.ensemble > 1 and args.method != "snd":
         parser.error(f"decompose --ensemble runs SND only, not --method {args.method}")
     if (args.func is cmd_compare and args.method is not None

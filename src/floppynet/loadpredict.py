@@ -60,11 +60,9 @@ def globality(network: Network, m: int = DEFAULT_ENSEMBLE,
     total = np.zeros(network.n_nodes)
     seen = np.zeros(network.n_nodes, dtype=bool)
     for basis in nullspace.ensemble(R, m=m, base_seed=base_seed):
-        best = np.full(network.n_nodes, np.inf)
-        for mode in basis.modes:
-            for node in mode.node_support:
-                if mode.size_s < best[node]:
-                    best[node] = mode.size_s
+        sizes = np.array([m.size_s for m in basis.modes], dtype=float)
+        best = np.where(nullspace.node_incidence(basis, network.n_nodes),
+                        sizes[:, None], np.inf).min(axis=0, initial=np.inf)
         involved = np.isfinite(best)
         seen |= involved
         total[involved] += best[involved]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nullspace, rigidity
 from .networks import Network
-from .nullspace import Mode, ModeBasis, make_mode, sort_modes
+from .nullspace import Mode, ModeBasis, sort_modes
 
 log = logging.getLogger(__name__)
 
@@ -195,12 +195,10 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
     hinge_nodes = sorted(decomp.articulation_nodes
                          | set(np.flatnonzero(network.fixed)))
     fixed = network.fixed.tolist()
-    for hinge in hinge_nodes:
-        section = _distal_section(adjacency, hinge, fixed)
-        if not section:
-            continue
-        try_accept(make_mode(_rotation_about(network, hinge, section),
-                             tag="rotational"))
+    rotations = [_rotation_about(network, hinge, section) for hinge in hinge_nodes
+                 if (section := _distal_section(adjacency, hinge, fixed))]
+    for v in nullspace.finalise_rows(np.array(rotations).reshape(-1, network.n_coords)):
+        try_accept(Mode(v, tag="rotational"))
 
     # component-local modes with articulation and fixed nodes anchored
     anchored = network.fixed.copy()
@@ -217,14 +215,15 @@ def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
         # the lift only adds zeros, so each mode stays finalised
         lifted = np.zeros((len(basis), network.n_coords))
         lifted[:, (2 * nodes[:, None] + np.arange(2)).ravel()] = basis.vectors()
+        lifted.setflags(write=False)
         for v in lifted:
             try_accept(Mode(v, tag="component-local"))
 
     if len(accepted) < total:
         log.info("multiscale-incomplete: %d of %d modes assembled; "
                  "filling from plain decomposition", len(accepted), total)
-        for m in sort_modes([make_mode(row, tag="component-local")
-                             for row in plain]):
+        for m in sort_modes([Mode(v, tag="component-local")
+                             for v in nullspace.finalise_rows(plain)]):
             try_accept(m)
 
     return ModeBasis(sort_modes(accepted), "multiscale", seed)

@@ -41,13 +41,11 @@ _PIVOT_REL = 1e-2
 _LEAD_REL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Mode:
-    """One floppy mode: a unit null vector and a tag.
-
+    """One floppy mode, a frozen value: a read-only unit null vector and a tag.
     Its support (the coordinates of its nonzero entries), size and node set
-    are read from the vector, so they cannot disagree with it.
-    """
+    are read from the vector, which is copied first if it is writable."""
 
     vector: np.ndarray
     tag: str = ""
@@ -56,9 +54,16 @@ class Mode:
     node_support: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        self.support = tuple(self.vector.nonzero()[0].tolist())
-        self.size_s = len(self.support)
-        self.node_support = tuple(sorted({i // 2 for i in self.support}))
+        # the fields are frozen, so they are set through object.__setattr__
+        v = self.vector
+        if v.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
+            object.__setattr__(self, "vector", v)
+        support = tuple(v.nonzero()[0].tolist())
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "size_s", len(support))
+        object.__setattr__(self, "node_support", tuple(sorted({i // 2 for i in support})))
 
     def max_residual(self, R: np.ndarray) -> float:
         return float(np.abs(R @ self.vector).max()) if R.shape[0] else 0.0
@@ -87,29 +92,37 @@ class ModeBasis:
         return np.array([m.vector for m in self.modes])
 
 
-def _finalize_vector(v: np.ndarray) -> np.ndarray:
-    """Normalize, hard-zero entries below ``ZERO_TOL``, and canonicalize the sign.
+def finalise_rows(V: np.ndarray) -> np.ndarray:
+    """Each row of ``V`` made a mode vector, as a new read-only array.
 
-    The sign makes the first entry of (nearly) largest magnitude positive.
+    A row is normalised, its entries below ``ZERO_TOL`` are hard-zeroed and
+    it is normalised again; then its sign makes the first entry of (nearly)
+    largest magnitude positive.  An all-zero row passes through unchanged.
     """
-    v = np.asarray(v, float).copy()
-    # the reduction np.linalg.norm runs on a vector, without its dispatch
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        return v
-    v /= norm
-    # a unit vector keeps an entry of at least 1/sqrt(n), far above ZERO_TOL
-    v[np.abs(v) < ZERO_TOL] = 0.0
-    v /= math.sqrt(v.dot(v))
-    mag = np.abs(v)
-    lead = (mag >= mag.max() * (1.0 - _LEAD_REL)).argmax()    # the first such entry
-    if v[lead] < 0:
-        v = -v
-    return v
+    V = np.array(V, dtype=float, ndmin=2)
+    # each row as a 1 x n and an n x 1 view: their product is one BLAS dot
+    # per row, the call a lone v.dot(v) makes, so a norm has the lone row's bits
+    rows, cols = V[:, None, :], V[:, :, None]
+    norms = np.sqrt(rows @ cols)
+    if np.count_nonzero(norms) < len(V):
+        live = norms.ravel() > 0.0
+        V[live] = finalise_rows(V[live])
+    elif V.size:
+        rows /= norms
+        # a unit vector keeps an entry of at least 1/sqrt(n), far above ZERO_TOL
+        V[np.abs(V) < ZERO_TOL] = 0.0
+        rows /= np.sqrt(rows @ cols)
+        mag = np.abs(V)
+        # the first entry within _LEAD_REL of the row's largest magnitude; it
+        # is nonzero, and multiplying by its sign (1.0 or -1.0) is exact
+        lead = (mag >= mag.max(axis=1, keepdims=True) * (1.0 - _LEAD_REL)).argmax(axis=1)
+        V *= np.copysign(1.0, V[np.arange(len(V)), lead])[:, None]
+    V.setflags(write=False)
+    return V
 
 
 def make_mode(vector: np.ndarray, tag: str = "") -> Mode:
-    return Mode(_finalize_vector(vector), tag)
+    return Mode(finalise_rows(vector)[0], tag)
 
 
 def _mode_sort_key(mode: Mode):
@@ -189,9 +202,9 @@ def snd_basis(R: np.ndarray, shuffle_seed: int | None = None) -> ModeBasis:
     """Sparse null-space basis: the rows ``eliminate`` leaves, finalised.
 
     Each row becomes a unit mode with its small entries zeroed and its sign
-    canonical (``make_mode``); the modes are sorted by ``sort_modes``.
+    canonical (``finalise_rows``); the modes are sorted by ``sort_modes``.
     """
-    modes = sort_modes([make_mode(row) for row in eliminate(R, shuffle_seed)])
+    modes = sort_modes([Mode(v) for v in finalise_rows(eliminate(R, shuffle_seed))])
     return ModeBasis(modes, "SND", shuffle_seed)
 
 
@@ -203,17 +216,18 @@ def svd_basis(R: np.ndarray) -> ModeBasis:
     else:
         _, s, vt = np.linalg.svd(R)
         rows = vt[rigidity.rank_from_singular_values(s):]
-    modes = sort_modes([make_mode(row) for row in rows])
+    modes = sort_modes([Mode(v) for v in finalise_rows(rows)])
     return ModeBasis(modes, "SVD", None)
+
+
+def node_incidence(basis: ModeBasis, n_nodes: int) -> np.ndarray:
+    """``(modes, nodes)`` booleans: whether each mode moves each node."""
+    return basis.vectors().reshape(len(basis), n_nodes, 2).any(axis=2)
 
 
 def involvement_Q(basis: ModeBasis, n_nodes: int) -> dict[int, int]:
     """Per node, the number of modes whose support touches it."""
-    q = {i: 0 for i in range(n_nodes)}
-    for mode in basis.modes:
-        for node in mode.node_support:
-            q[node] += 1
-    return q
+    return dict(enumerate(node_incidence(basis, n_nodes).sum(axis=0).tolist()))
 
 
 def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> list[ModeBasis]:
@@ -227,22 +241,6 @@ def ensemble(R: np.ndarray, m: int = 100, base_seed: int = 0) -> list[ModeBasis]
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"run {idx}: {exc}") from exc
     return bases
-
-
-def span_residual(basis_a: ModeBasis, basis_b: ModeBasis) -> float:
-    """Worst reconstruction error projecting either basis onto the other's span."""
-    va, vb = basis_a.vectors(), basis_b.vectors()
-    if va.shape[0] == 0 and vb.shape[0] == 0:
-        return 0.0
-    if va.shape[0] == 0 or vb.shape[0] == 0:
-        return 1.0
-
-    def one_way(v, w):
-        q, _ = np.linalg.qr(w.T)        # orthonormal basis for span(w)
-        resid = v.T - q @ (q.T @ v.T)
-        return float(np.linalg.norm(resid, axis=0).max())
-
-    return max(one_way(va, vb), one_way(vb, va))
 
 
 def basis_to_dict(basis: ModeBasis) -> dict:

@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from floppynet import experiments, networks
+from floppynet import experiments, networks, nullspace
 from floppynet.networks import GeneratorSpec
 
 
@@ -87,6 +88,39 @@ def named_network(name):
 def max_residual(R, basis):
     """The largest constraint violation over the modes of ``basis`` (0 if empty)."""
     return max((m.max_residual(R) for m in basis.modes), default=0.0)
+
+
+def span_residual(basis_a, basis_b):
+    """Worst reconstruction error projecting either basis onto the other's span."""
+    va, vb = basis_a.vectors(), basis_b.vectors()
+    if va.shape[0] == 0 and vb.shape[0] == 0:
+        return 0.0
+    if va.shape[0] == 0 or vb.shape[0] == 0:
+        return 1.0
+
+    def one_way(v, w):
+        q, _ = np.linalg.qr(w.T)        # orthonormal basis for span(w)
+        resid = v.T - q @ (q.T @ v.T)
+        return float(np.linalg.norm(resid, axis=0).max())
+
+    return max(one_way(va, vb), one_way(vb, va))
+
+
+def finalize_vector(v):
+    """One row finalised the way modes were made before ``finalise_rows``, one
+    vector at a time; the oracle its rows must match byte for byte."""
+    v = np.asarray(v, float).copy()
+    norm = math.sqrt(v.dot(v))
+    if norm == 0.0:
+        return v
+    v /= norm
+    v[np.abs(v) < nullspace.ZERO_TOL] = 0.0
+    v /= math.sqrt(v.dot(v))
+    mag = np.abs(v)
+    lead = (mag >= mag.max() * (1.0 - nullspace._LEAD_REL)).argmax()
+    if v[lead] < 0:
+        v = -v
+    return v
 
 
 def basis_digest(bases):

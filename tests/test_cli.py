@@ -105,6 +105,16 @@ class TestDecompose:
         assert "SND only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_ensemble_below_one_is_a_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "ens.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["decompose", "--fixture", "robot_arm", "--ensemble", size,
+                 "--out", out])
+        assert exc.value.code == 2
+        assert f"--ensemble must be at least 1, not {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ensemble_with_snd_method_is_the_default_ensemble(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["--seed", 4, "decompose", "--fixture", "robot_arm",
@@ -583,6 +593,25 @@ def test_rejected_parameter_is_reported_not_raised(tmp_path, capsys, args, says)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["generate", "--kind", "triangular_lattice", "--dilution", 0.6],
+                 id="generate"),
+    pytest.param(["simulate", "--fixture", "robot_arm", "--steps", 10], id="simulate"),
+    pytest.param(["predict", "--fixture", "robot_arm", "--m", 2], id="predict"),
+    pytest.param(["decompose", "--fixture", "robot_arm", "--method", "snd"],
+                 id="decompose-snd"),
+    pytest.param(["decompose", "--fixture", "robot_arm", "--method", "multiscale"],
+                 id="decompose-multiscale"),
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["--seed", -1, *args, "--out", out])
+    assert exc.value.code == 2
+    assert "--seed must be at least 0, not -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _run_cli_corpus(d):
     """Run every subcommand once on small inputs in ``d``; SHA-256 of each output."""
     lat, pack = d / "lat.json", d / "pack.json"
@@ -693,5 +722,6 @@ PINNED_CLI_OUTPUTS = {
 }
 
 
+@pytest.mark.pins
 def test_cli_outputs_pinned(tmp_path, capsys):
     assert _run_cli_corpus(tmp_path) == PINNED_CLI_OUTPUTS

@@ -291,6 +291,7 @@ PINNED_TRACES = {
 }
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize("kind, method, k", [
     (kind, method, k) for (kind, method), digests in PINNED_TRACES.items()
     for k in range(len(digests))])

@@ -9,7 +9,8 @@ from floppynet import multiscale, networks, nullspace, rigidity
 from floppynet.networks import GeneratorSpec
 
 from conftest import (NEAR_DEGENERATE_DELTAS, basis_digest, lattice,
-                      max_residual, named_network, near_degenerate, panel)
+                      max_residual, named_network, near_degenerate, panel,
+                      span_residual)
 
 
 def _networkx_hinges(network):
@@ -198,7 +199,7 @@ class TestMultiscaleBasis:
         R = rigidity.build(robot_arm)
         ms = multiscale.multiscale_basis(robot_arm)
         snd = nullspace.snd_basis(R)
-        assert nullspace.span_residual(ms, snd) <= 1e-7
+        assert span_residual(ms, snd) <= 1e-7
 
     def test_mode_count_equals_dof(self, molecule):
         R = rigidity.build(molecule)
@@ -299,6 +300,7 @@ PINNED_BASES = {
 }
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_multiscale_basis_bytes_pinned(name):
     net = named_network(name)

@@ -240,6 +240,7 @@ class TestRelaxDisksMatchesDenseSweep:
         self.assert_same_sweeps(_random_start(3, 1.0), 300)
 
 
+@pytest.mark.pins
 class TestPackingDigests:
     # SHA-256 over positions, edges, fixed and metadata, recorded from the
     # dense sweep in ``_reference_relax_disks``

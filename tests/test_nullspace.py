@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from floppynet import networks, nullspace, rigidity
 from floppynet.errors import NumericalBreakdown
 
-from conftest import basis_digest, max_residual, panel
+from conftest import (basis_digest, finalize_vector, max_residual, named_network,
+                      panel, span_residual)
 
 
 class TestSndBasis:
@@ -103,17 +107,86 @@ PINNED_SND = {
 PINNED_ENSEMBLE = "8a09c7b6e765d20d56c5d9b502d29e03e8bd76789b80be80079e0aadcf248a71"
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize("k", sorted(PINNED_SND))
 def test_snd_basis_bytes_pinned(k):
     R = rigidity.build(panel(k))
     assert basis_digest([nullspace.snd_basis(R)]) == PINNED_SND[k]
 
 
-def test_ensemble_bytes_pinned():
-    net = networks.generate_bidisperse_packing(networks.GeneratorSpec(
+def seed1_packing():
+    return networks.generate_bidisperse_packing(networks.GeneratorSpec(
         kind="bidisperse_packing", seed=1, n_disks=48, target_dof=18))
-    bases = nullspace.ensemble(rigidity.build(net), m=10)
+
+
+@pytest.mark.pins
+def test_ensemble_bytes_pinned():
+    bases = nullspace.ensemble(rigidity.build(seed1_packing()), m=10)
     assert basis_digest(bases) == PINNED_ENSEMBLE
+
+
+# svd_basis on each panel lattice and the reaching network, hashed by
+# basis_digest with one BLAS thread (LAPACK's threaded SVD moves the last bits
+# of the larger panels with the thread count); recorded before the modes were
+# finalised in one array pass
+PINNED_SVD = {
+    "panel0": "76c7490ea862313312ca757012f02463fb6701bd8673ada67904a31c9d6abfc7",
+    "panel1": "f646aa4d999fe6879d7be804ed9bdb863a9da74fb34e342217419b32be29a317",
+    "panel2": "358a07f45d84fbf88a0cba37ab299d3327d06a20bc1f2a272874593b62d845e0",
+    "panel3": "25c1cf0f733541e4d53c980a250c40cf5c0abd729a523c7bbd2e35c1c2181cd7",
+    "panel4": "9e522e9644062bf1a7a641e806d4c5d67ced2b1495d3b1c381ffee82ff2bd2c5",
+    "reaching": "2016f7ca534dcc22a67c8163a4198c86ffda093bf255f13b13a2104d30bcf5e8",
+}
+
+
+@pytest.fixture(scope="module")
+def one_thread_svd_digests():
+    """``PINNED_SVD``'s digests, computed in a child process with one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(__file__), os.path.dirname(os.path.dirname(nullspace.__file__)),
+         *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys\n"
+            "from conftest import basis_digest, named_network\n"
+            "from floppynet import nullspace, rigidity\n"
+            "for name in sys.argv[1:]:\n"
+            "    R = rigidity.build(named_network(name))\n"
+            "    print(name, basis_digest([nullspace.svd_basis(R)]))\n")
+    out = subprocess.run([sys.executable, "-c", code, *sorted(PINNED_SVD)],
+                         env=env, check=True, capture_output=True, text=True)
+    return dict(line.split() for line in out.stdout.splitlines())
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("name", sorted(PINNED_SVD))
+def test_svd_basis_bytes_pinned(name, one_thread_svd_digests):
+    assert one_thread_svd_digests[name] == PINNED_SVD[name]
+
+
+def _finalise_corpus():
+    """Row stacks the finalise pass sees: SVD null rows of the panels and the
+    reaching network, 20 shuffled eliminations each of the seed-1 packing and
+    the arm, and stacks holding all-zero rows."""
+    for name in sorted(PINNED_SVD):
+        _, s, vt = np.linalg.svd(rigidity.build(named_network(name)))
+        yield name, vt[rigidity.rank_from_singular_values(s):]
+    for name, R in (("packing", rigidity.build(seed1_packing())),
+                    ("arm", rigidity.build(named_network("robot_arm")))):
+        for seed in range(20):
+            yield f"{name}-{seed}", nullspace.eliminate(R, seed)
+    rng = np.random.default_rng(0)
+    V = rng.normal(size=(6, 12)) * rng.choice([0.0, 1e-9, 1.0], size=(6, 12))
+    V[1], V[4] = 0.0, -0.0
+    yield "zero-rows", V
+    yield "no-rows", np.zeros((0, 12))
+
+
+@pytest.mark.pins
+def test_finalise_rows_matches_the_one_vector_pass():
+    for label, V in _finalise_corpus():
+        expected = np.array([finalize_vector(v) for v in V]).reshape(V.shape)
+        assert nullspace.finalise_rows(V).tobytes() == expected.tobytes(), label
 
 
 @pytest.mark.parametrize("size,seed,participation", BENCHMARK_PANEL)
@@ -125,8 +198,23 @@ def test_snd_at_benchmarked_sizes(size, seed, participation):
     basis = nullspace.snd_basis(R)
     assert len(basis) == rigidity.dof(R)
     assert max_residual(R, basis) <= 1e-8
-    assert nullspace.span_residual(basis, nullspace.svd_basis(R)) <= 1e-7
+    assert span_residual(basis, nullspace.svd_basis(R)) <= 1e-7
     assert basis.participation == participation
+
+
+class TestFinaliseRows:
+    def test_read_only_copy(self):
+        V = np.array([[0.0, -4.0, 3.0], [1.0, 1.0, 0.0]])
+        out = nullspace.finalise_rows(V)
+        assert not out.flags.writeable
+        assert V[0, 1] == -4.0
+        assert np.allclose(out, [[0.0, 0.8, -0.6], [2 ** -0.5, 2 ** -0.5, 0.0]])
+
+    def test_make_mode_is_the_one_row_case(self):
+        v = np.array([0.2, -0.9, 1e-10, 0.3])
+        mode = nullspace.make_mode(v, "t")
+        assert mode.vector.tobytes() == nullspace.finalise_rows(v[None])[0].tobytes()
+        assert (mode.support, mode.tag) == ((0, 1, 3), "t")
 
 
 class TestModeSign:
@@ -155,6 +243,18 @@ class TestModeBookkeeping:
         moved = dataclasses.replace(mode, vector=np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
         assert (moved.support, moved.size_s, moved.node_support, moved.tag) == (
             (2,), 1, (1,), "x")
+
+    def test_frozen(self):
+        vector = np.array([0.0, 0.6, 0.0, 0.8])
+        mode = nullspace.Mode(vector)
+        for name, value in (("size_s", 1), ("support", (1,)), ("vector", vector),
+                            ("tag", "y")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mode, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            mode.vector[1] = 0.0
+        vector[1] = 0.0             # the mode holds its own copy
+        assert (mode.support, mode.vector[1]) == ((1, 3), 0.6)
 
 
 class TestSvdBasis:
@@ -188,7 +288,7 @@ class TestSpanEquivalence:
         R = rigidity.build(lattice_4x4)
         snd = nullspace.snd_basis(R)
         svd = nullspace.svd_basis(R)
-        assert nullspace.span_residual(snd, svd) <= 1e-7
+        assert span_residual(snd, svd) <= 1e-7
 
     def test_idempotent_resparsification(self, hinged):
         # running the decomposition on a matrix whose null space is already
@@ -205,9 +305,8 @@ class TestSpanEquivalence:
 
 class TestMetrics:
     def test_participation_arithmetic(self):
-        modes = [nullspace.make_mode(v) for v in np.eye(8)[:4]]
-        for m, s in zip(modes, (2, 2, 4, 8)):
-            m.size_s = s
+        modes = [nullspace.make_mode(np.arange(8) < s) for s in (2, 2, 4, 8)]
+        assert [m.size_s for m in modes] == [2, 2, 4, 8]
         basis = nullspace.ModeBasis(modes, "SND")
         assert basis.participation == 16
 
@@ -269,7 +368,7 @@ class TestEnsemble:
         R = rigidity.build(hinged)
         bases = nullspace.ensemble(R, m=6)
         for other in bases[1:]:
-            assert nullspace.span_residual(bases[0], other) <= 1e-7
+            assert span_residual(bases[0], other) <= 1e-7
 
     def test_bad_size(self, robot_arm):
         R = rigidity.build(robot_arm)
