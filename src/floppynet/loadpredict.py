@@ -144,27 +144,37 @@ def predict_loaded_edges(network: Network, gmap: GlobalityMap,
     return frozenset(marked)
 
 
-def score(predicted: Iterable[tuple[int, int]],
-          extensions: Mapping[tuple[int, int], float], e: float,
-          t: float | None = None) -> PredictionReport:
-    """Binary agreement between predicted and measured loaded links.
+def _by_sorted_edge(predicted, extensions):
+    """``predicted`` as a set of sorted pairs, and ``extensions`` keyed by
+    sorted pair, so an edge may be keyed either way round."""
+    return (frozenset(tuple(sorted(p)) for p in predicted),
+            {tuple(sorted(k)): v for k, v in extensions.items()})
 
-    ``extensions`` maps every edge to its (scaled) extension; edges whose
-    absolute extension exceeds ``e`` form the reference loaded set.
-    """
-    predicted = frozenset(tuple(sorted(p)) for p in predicted)
-    keys = frozenset(tuple(sorted(k)) for k in extensions)
+
+def _score(predicted, measured, e, t) -> PredictionReport:
+    keys = frozenset(measured)
     if not predicted <= keys:
         missing = sorted(predicted - keys)[:3]
         raise EdgeMismatchError(
             f"predicted edges absent from measurements, e.g. {missing}")
-    reference = frozenset(k for k in keys
-                          if abs(extensions[tuple(k)]) > e)
+    reference = frozenset(k for k, v in measured.items() if abs(v) > e)
     n_t = len(keys)
     n_b = len(predicted & reference)
     n_o = len((keys - predicted) & (keys - reference))
     eta = (n_b + n_o) / n_t if n_t else 0.0
     return PredictionReport(predicted, reference, n_b, n_o, n_t, eta, t, e)
+
+
+def score(predicted: Iterable[tuple[int, int]],
+          extensions: Mapping[tuple[int, int], float], e: float,
+          t: float | None = None) -> PredictionReport:
+    """Binary agreement between predicted and measured loaded links.
+
+    ``extensions`` maps every edge, keyed either way round, to its (scaled)
+    extension; edges whose absolute extension exceeds ``e`` form the
+    reference loaded set.
+    """
+    return _score(*_by_sorted_edge(predicted, extensions), e, t)
 
 
 def threshold_sweep(predicted: Iterable[tuple[int, int]],
@@ -179,6 +189,7 @@ def threshold_sweep(predicted: Iterable[tuple[int, int]],
     e_grid = list(e_grid)
     if any(b < a for a, b in zip(e_grid, e_grid[1:])):
         raise ValueError("e_grid must be sorted ascending")
-    curve = [(float(e), score(predicted, extensions, e, t).eta) for e in e_grid]
+    predicted, measured = _by_sorted_edge(predicted, extensions)
+    curve = [(float(e), _score(predicted, measured, e, t).eta) for e in e_grid]
     best_e, best_eta = max(curve, key=lambda p: (p[1], -p[0]))
     return curve, best_e, best_eta

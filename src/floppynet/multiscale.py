@@ -156,74 +156,67 @@ def _distal_section(adjacency: list[list[int]], hinge: int, fixed: list[bool]):
 
 
 def multiscale_basis(network: Network, seed: int = 0) -> ModeBasis:
-    """Whole-section rotational modes plus component-local modes.
+    """The first linearly independent candidate modes, as many as the network
+    has floppy modes.
 
-    Both kinds are floppy by construction, so no candidate is tested against
-    the rigidity matrix.  A rotation turns a side of a hinge that holds no
-    fixed node, and every bar leaving that side ends at the hinge.  A
-    component's modes come from every row its free nodes touch, with its
-    hinges anchored.  Candidates are kept while they are linearly independent
-    of those already kept.  The plain sparse elimination of the whole network
-    (``nullspace.eliminate``, shuffled by ``seed``) gives the mode count; if
-    the assembled set falls short of it, the deficit is filled from that
-    elimination's modes.  An isolated free node lies in no constraint row,
-    so its two unit coordinate modes come from that fill.
+    The count is the number of rows the plain sparse elimination of the whole
+    network (``nullspace.eliminate``, shuffled by ``seed``) leaves.  One
+    stream offers the candidates in order: whole-section rotations about
+    hinges, then each component's modes with its hinges anchored, then that
+    elimination's own modes, finalised and sorted.  A candidate is kept if
+    modified Gram-Schmidt against the rows kept so far, in the order they
+    were kept, leaves more than ``_INDEP_TOL`` of it.  The stream stops once
+    the count is kept, so no later candidate is built, and none at all when
+    the count is 0.  Rotations and component modes are floppy by
+    construction, so no candidate is tested against the rigidity matrix: a
+    rotation turns a side of a hinge that holds no fixed node, and every bar
+    leaving that side ends at the hinge; a component's modes come from every
+    row its free nodes touch.  An isolated free node lies in no constraint
+    row, so its two unit coordinate modes come from the elimination's modes.
     """
-    # the plain elimination counts the modes; its rows are finalised only
-    # if the candidates below fall short
     plain = nullspace.eliminate(rigidity.build(network), seed)
-    total = len(plain)
-    adjacency = _neighbours(network)
-    decomp = find_hinges(network)
-
     accepted: list[Mode] = []
-    ortho: list[np.ndarray] = []
 
-    def try_accept(mode: Mode) -> None:
-        if len(accepted) >= total:
-            return
+    def candidates():
+        adjacency = _neighbours(network)
+        decomp = find_hinges(network)
+        # one rotation per hinge; fixed nodes act as hinges to ground
+        hinge_nodes = sorted(decomp.articulation_nodes
+                             | set(np.flatnonzero(network.fixed)))
+        fixed = network.fixed.tolist()
+        rotations = [_rotation_about(network, hinge, section) for hinge in hinge_nodes
+                     if (section := _distal_section(adjacency, hinge, fixed))]
+        for v in nullspace.finalise_rows(np.array(rotations).reshape(-1, network.n_coords)):
+            yield Mode(v, tag="rotational")
+        # component-local modes with articulation and fixed nodes anchored
+        anchored = network.fixed.copy()
+        anchored[list(decomp.articulation_nodes)] = True
+        for ci, comp in enumerate(decomp.components):
+            nodes = np.array(comp.nodes)
+            if anchored[nodes].all():
+                continue
+            pairs = np.searchsorted(nodes, comp.edges)
+            R_comp = rigidity.assemble(network.positions[nodes], pairs, anchored[nodes])
+            coords = (2 * nodes[:, None] + np.arange(2)).ravel()
+            for m in nullspace.snd_basis(R_comp, shuffle_seed=seed + ci).modes:
+                # the lift only adds zeros, so the mode stays finalised
+                v = np.zeros(network.n_coords)
+                v[coords] = m.vector
+                v.setflags(write=False)
+                yield Mode(v, tag="component-local")
+        log.info("multiscale-incomplete: %d of %d modes assembled; "
+                 "filling from plain decomposition", len(accepted), len(plain))
+        yield from sort_modes([Mode(v, tag="component-local")
+                               for v in nullspace.finalise_rows(plain)])
+
+    ortho = np.empty((len(plain), network.n_coords))  # the kept rows, orthonormal
+    stream = candidates()
+    while len(accepted) < len(plain) and (mode := next(stream, None)) is not None:
         r = mode.vector.copy()
-        for q in ortho:
+        for q in ortho[:len(accepted)]:
             r -= (q @ r) * q
         norm = math.sqrt(r.dot(r))
-        if norm <= _INDEP_TOL:
-            return
-        accepted.append(mode)
-        ortho.append(r / norm)
-
-    # one rotation per hinge; fixed nodes act as hinges to ground
-    hinge_nodes = sorted(decomp.articulation_nodes
-                         | set(np.flatnonzero(network.fixed)))
-    fixed = network.fixed.tolist()
-    rotations = [_rotation_about(network, hinge, section) for hinge in hinge_nodes
-                 if (section := _distal_section(adjacency, hinge, fixed))]
-    for v in nullspace.finalise_rows(np.array(rotations).reshape(-1, network.n_coords)):
-        try_accept(Mode(v, tag="rotational"))
-
-    # component-local modes with articulation and fixed nodes anchored
-    anchored = network.fixed.copy()
-    anchored[list(decomp.articulation_nodes)] = True
-    for ci, comp in enumerate(decomp.components):
-        nodes = np.array(comp.nodes)
-        if anchored[nodes].all():
-            continue
-        pairs = np.searchsorted(nodes, comp.edges)
-        R_comp = rigidity.assemble(network.positions[nodes], pairs, anchored[nodes])
-        basis = nullspace.snd_basis(R_comp, shuffle_seed=seed + ci)
-        if not basis.modes:
-            continue
-        # the lift only adds zeros, so each mode stays finalised
-        lifted = np.zeros((len(basis), network.n_coords))
-        lifted[:, (2 * nodes[:, None] + np.arange(2)).ravel()] = basis.vectors()
-        lifted.setflags(write=False)
-        for v in lifted:
-            try_accept(Mode(v, tag="component-local"))
-
-    if len(accepted) < total:
-        log.info("multiscale-incomplete: %d of %d modes assembled; "
-                 "filling from plain decomposition", len(accepted), total)
-        for m in sort_modes([Mode(v, tag="component-local")
-                             for v in nullspace.finalise_rows(plain)]):
-            try_accept(m)
-
+        if norm > _INDEP_TOL:
+            ortho[len(accepted)] = r / norm
+            accepted.append(mode)
     return ModeBasis(sort_modes(accepted), "multiscale", seed)

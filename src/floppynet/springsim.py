@@ -56,12 +56,18 @@ class SimConfig:
     strain: float = 0.08            # shear strain gamma
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError(f"dt must be positive and finite, not {self.dt}")
+        if not 0 < self.stiffness < math.inf:
+            raise ParameterError(f"stiffness must be positive and finite, "
+                                 f"not {self.stiffness}")
         if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
-        if self.noise_amplitude < 0:
-            raise ParameterError("noise_amplitude must be >= 0")
+            raise ParameterError(f"steps must be >= 1, not {self.steps}")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise ParameterError(f"noise_amplitude must be non-negative and "
+                                 f"finite, not {self.noise_amplitude}")
+        if not math.isfinite(self.strain):
+            raise ParameterError(f"strain must be finite, not {self.strain}")
 
 
 @dataclass
@@ -204,8 +210,8 @@ def relax_all(networks: list[Network], config: SimConfig,
     final = _spring_forces(x, ia, ib, rest, stiffness)
     results = []
     for k, (net, (a, b, r)) in enumerate(zip(networks, arrays)):
-        energy = _spring_energy(x[k], a, b, r, stiffness)
         extension = np.linalg.norm(x[k][a] - x[k][b], axis=1) - r
+        energy = float(0.5 * stiffness * (extension ** 2).sum())
         floor = NOISE_FLOOR_FACTOR * len(a) * stiffness * amp ** 2
         max_free_force = (float(np.linalg.norm(final[k][free], axis=1).max())
                           if n_free else 0.0)
@@ -232,8 +238,12 @@ def shear_moduli(networks: list[Network], config: SimConfig) -> list[SimResult]:
     Top-row nodes are displaced rightwards by ``strain`` times the lattice
     height and held there together with the bottom row; A is the undeformed
     bounding area of the lattice.  The sheared networks must share their node
-    count and fixed mask (see ``relax_all``).
+    count and fixed mask (see ``relax_all``).  A strain of 0 is a
+    ``ParameterError``, since G divides by it.
     """
+    if config.strain == 0:
+        raise ParameterError("strain must be non-zero to measure a shear "
+                             f"modulus, not {config.strain}")
     sheared, areas = [], []
     for network in networks:
         nx, ny = lattice_dims(network)

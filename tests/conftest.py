@@ -7,6 +7,17 @@ import pytest
 from floppynet import experiments, networks, nullspace
 from floppynet.networks import GeneratorSpec
 
+# every line test_acceptance.report made in this run, PASS and FAIL
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance lines at the end of every run, captured or not."""
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 @pytest.fixture
 def robot_arm():

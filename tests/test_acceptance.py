@@ -14,13 +14,14 @@ from floppynet import (control, experiments, loadpredict, multiscale,
                        networks, nullspace, rigidify, rigidity, springsim)
 from floppynet.springsim import SimConfig
 
-from conftest import fd_dof
+from conftest import ACCEPTANCE_LINES, fd_dof
 
 
 def report(number, name, passed, detail):
     line = (f"ACCEPTANCE {number} ({name}): "
             f"{'PASS' if passed else 'FAIL'} - {detail}")
     print(line)
+    ACCEPTANCE_LINES.append(line)
     assert passed, line
 
 

@@ -344,6 +344,33 @@ class TestSimulateCommand:
         assert len(data["per_edge"]) == 33
 
 
+    @pytest.mark.parametrize("args,says", [
+        pytest.param(["--noise", "nan"], "noise_amplitude must be non-negative "
+                     "and finite, not nan", id="noise-nan"),
+        pytest.param(["--noise", "inf"], "noise_amplitude must be non-negative "
+                     "and finite, not inf", id="noise-inf"),
+        pytest.param(["--dt", "nan"], "dt must be positive and finite, not nan",
+                     id="dt-nan"),
+        pytest.param(["--dt", "inf"], "dt must be positive and finite, not inf",
+                     id="dt-inf"),
+        pytest.param(["--gamma", "nan", "--protocol", "shear_top_row"],
+                     "strain must be finite, not nan", id="gamma-nan"),
+        pytest.param(["--gamma", 0, "--protocol", "shear_top_row"],
+                     "strain must be non-zero to measure a shear modulus, not 0.0",
+                     id="gamma-0"),
+    ])
+    def test_bad_parameter_on_a_lattice(self, tmp_path, capsys, args, says):
+        netfile = tmp_path / "net.json"
+        networks.save(networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", dimensions=(5, 5), boundary="fixed_rows")),
+            netfile)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--network", netfile, "--steps", 1000, *args,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error [bad-parameter]: {says}\n"
+        assert not out.exists()
+
+
 class TestRigidifyCommand:
     def test_ms_on_a_network_snd_finds_rigid(self, tmp_path, near_degenerate_chain):
         # SND builds no mode, so the one MS pick falls back to a random link

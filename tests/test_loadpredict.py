@@ -113,6 +113,21 @@ class TestScore:
         with pytest.raises(EdgeMismatchError):
             loadpredict.score({(7, 9)}, {(0, 1): 1.0}, e=0.5)
 
+    def test_edge_keyed_either_way_round(self):
+        rng = np.random.default_rng(4)
+        edges = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+        extensions = {e: float(rng.uniform(0, 0.2)) for e in edges}
+        reversed_keys = {(b, a): v for (a, b), v in extensions.items()}
+        mixed = {(e if i % 2 else e[::-1]): v
+                 for i, (e, v) in enumerate(extensions.items())}
+        predicted = [e for e in edges if rng.uniform() < 0.4] + [(5, 3)]
+        grid = [0.0, 0.05, 0.1, 0.15, 0.2]
+        for measured in (reversed_keys, mixed):
+            assert (loadpredict.score(predicted, measured, 0.05, t=3.0)
+                    == loadpredict.score(predicted, extensions, 0.05, t=3.0))
+            assert (loadpredict.threshold_sweep(predicted, measured, grid)
+                    == loadpredict.threshold_sweep(predicted, extensions, grid))
+
     def test_eta_bounds(self):
         extensions = {(0, 1): 0.2, (1, 2): 0.4}
         for e in (0.0, 0.1, 0.3, 0.5):

@@ -214,11 +214,40 @@ class TestMultiscaleBasis:
             if m.tag == "component-local":
                 assert any(set(m.node_support) <= nodes for nodes in comp_nodes)
 
-    def test_rigid_network_empty_basis(self):
+    def test_rigid_network_empty_basis(self, monkeypatch):
+        # the count is 0, so no candidate is built
+        built = []
+        for owner, name in ((multiscale, "find_hinges"),
+                            (multiscale, "_rotation_about"),
+                            (nullspace, "snd_basis"), (nullspace, "finalise_rows")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **kw:
+                                built.append(name))
         net = networks.Network([(0, 0), (1, 0), (0.4, 0.8)],
                                [(0, 1), (1, 2), (0, 2)],
                                [True, True, False])
         assert len(multiscale.multiscale_basis(net)) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("name,snd_calls", [
+        ("hinged", 0), ("robot_arm", 2), ("lattice_4x4", 2), ("reaching", 5)])
+    def test_stops_at_the_mode_count(self, monkeypatch, name, snd_calls):
+        # the stream stops once the count is kept: on the hinged fixture four
+        # rotations fill the count of 4, so no component is decomposed
+        calls = []
+        snd_basis = nullspace.snd_basis
+        monkeypatch.setattr(nullspace, "snd_basis",
+                            lambda *a, **kw: calls.append(a) or snd_basis(*a, **kw))
+        net = named_network(name)
+        basis = multiscale.multiscale_basis(net)
+        assert len(calls) == snd_calls
+        assert len(basis) == len(nullspace.eliminate(rigidity.build(net), 0))
+
+    def test_fill_logs_both_counts(self, molecule, caplog):
+        with caplog.at_level(logging.INFO, logger="floppynet.multiscale"):
+            basis = multiscale.multiscale_basis(molecule)
+        assert len(basis) == 5
+        assert caplog.messages == ["multiscale-incomplete: 3 of 5 modes "
+                                   "assembled; filling from plain decomposition"]
 
     def test_isolated_free_node_modes(self, molecule):
         # the node lies in no constraint row, so the plain elimination's

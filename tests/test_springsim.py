@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floppynet import experiments, networks, rigidify, springsim
-from floppynet.errors import BoundaryRowsError, IntegrationDiverged
+from floppynet.errors import BoundaryRowsError, IntegrationDiverged, ParameterError
 from floppynet.springsim import _NOISE_BLOCK, SimConfig
 
 
@@ -185,10 +185,24 @@ class TestRelax:
         assert res.max_free_force == 0.0
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=-1.0)
-        with pytest.raises(ValueError):
-            SimConfig(steps=0)
+        nan, inf = float("nan"), float("inf")
+        table = [("dt", -1.0), ("dt", 0.0), ("dt", nan), ("dt", inf),
+                 ("stiffness", 0.0), ("stiffness", -1.0), ("stiffness", nan),
+                 ("stiffness", inf),
+                 ("steps", 0),
+                 ("noise_amplitude", -1e-4), ("noise_amplitude", nan),
+                 ("noise_amplitude", inf),
+                 ("strain", nan), ("strain", inf), ("strain", -inf)]
+        for field, value in table:
+            with pytest.raises(ParameterError, match=f"^{field} must .*, not {value}$"):
+                SimConfig(**{field: value})
+
+    def test_zero_strain_has_no_shear_modulus(self):
+        net = networks.generate_triangular(networks.GeneratorSpec(
+            kind="triangular_lattice", dimensions=(5, 5), boundary="fixed_rows"))
+        SimConfig(strain=0.0)   # a plain relaxation does not read the strain
+        with pytest.raises(ParameterError, match="^strain must be non-zero"):
+            springsim.shear_modulus(net, SimConfig(strain=0.0, steps=10))
 
 
 def _disturbed_lattice(seed=5):
